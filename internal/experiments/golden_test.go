@@ -64,23 +64,66 @@ func TestGoldenFig1Table3Deterministic(t *testing.T) {
 	}
 }
 
-// TestCellFingerprint ties one cell's full CellResult — every counter, not
-// just the rendered columns — to the cell-cache format version. The
-// committed file records "v<cellCacheVersion> <sha256 of the result JSON>";
-// if a change moves any number in the result, this fails until the author
-// both bumps cellCacheVersion (so stale disk caches cannot serve the old
-// numbers) and regenerates the fingerprint with -update.
+// fingerprintCases pins one cell per cached simulation path. The first
+// line of testdata/cell_fingerprint.txt predates the others and carries no
+// label, so its bytes stay identical to the historical single-cell file.
+func fingerprintCases() []struct {
+	cfg  Config
+	cell Cell
+} {
+	golden := goldenCfg()
+	sampled := goldenCfg()
+	sampled.Measure = 32
+	sampled.Fidelity = FidelitySampled
+	restart := NewRunner(golden).rubyRestart(rubyRestartEvery)
+	return []struct {
+		cfg  Config
+		cell Cell
+	}{
+		{golden, phpCell("xeon", "ddmalloc", workload.MediaWikiRO().Name, 2)},
+		{golden, phpCell("niagara", "region", workload.MediaWikiRW().Name, 4)},
+		{golden, Cell{Platform: "xeon", Alloc: "glibc", Workload: workload.Rails().Name,
+			Cores: 2, Ruby: true, RestartEvery: restart}},
+		{golden, Cell{Platform: "xeon", Alloc: "region", Workload: workload.MediaWikiRW().Name,
+			Cores: 2, MemSched: "frfcfs"}},
+		{sampled, phpCell("xeon", "ddmalloc", workload.PhpBB().Name, 2)},
+		{golden, Cell{Platform: "xeon", Alloc: "ddmalloc", Workload: workload.PhpBB().Name,
+			Cores: 2, Budget: 128 << 20}},
+	}
+}
+
+// TestCellFingerprint ties full CellResults — every counter, not just the
+// rendered columns — to the cell-cache format version, one cell per cached
+// path: PHP on both platforms, Ruby with restarts, the DRAM model, sampled
+// fidelity and a static budget. Each line of the committed file records
+// "v<cellCacheVersion> <sha256 of the result JSON>" plus a label; if a
+// change moves any number in any result, this fails until the author both
+// bumps cellCacheVersion (so stale disk caches cannot serve the old
+// numbers) and regenerates the fingerprints with -update.
 func TestCellFingerprint(t *testing.T) {
 	path := filepath.Join("testdata", "cell_fingerprint.txt")
 
-	r := NewRunner(goldenCfg())
-	res := r.Run(phpCell("xeon", "ddmalloc", workload.MediaWikiRO().Name, 2))
-	data, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
+	var b strings.Builder
+	for i, tc := range fingerprintCases() {
+		res := NewRunner(tc.cfg).Run(tc.cell)
+		if res.Failed {
+			t.Fatalf("fingerprint cell %s failed", tc.cell.Key())
+		}
+		data, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		fmt.Fprintf(&b, "v%d %s", cellCacheVersion, hex.EncodeToString(sum[:]))
+		if i > 0 {
+			b.WriteString(" " + tc.cell.Key())
+			if tc.cfg.Fidelity != "" {
+				b.WriteString(" fidelity:" + tc.cfg.Fidelity)
+			}
+		}
+		b.WriteString("\n")
 	}
-	sum := sha256.Sum256(data)
-	got := fmt.Sprintf("v%d %s\n", cellCacheVersion, hex.EncodeToString(sum[:]))
+	got := b.String()
 
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -92,7 +135,7 @@ func TestCellFingerprint(t *testing.T) {
 		t.Fatalf("missing fingerprint file (regenerate with -update): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("cell fingerprint mismatch:\n got %swant %s"+
+		t.Errorf("cell fingerprint mismatch:\n got:\n%swant:\n%s"+
 			"(simulator outputs changed: bump cellCacheVersion and rerun with -update)",
 			got, want)
 	}
