@@ -101,7 +101,7 @@ func run() int {
 		alloc    = flag.String("alloc", "ddmalloc", "cell: allocator (see the list below)")
 		wl       = flag.String("workload", "MediaWiki(ro)", "cell: workload name")
 		cores    = flag.Int("cores", 8, "cell: active cores")
-		memsched = flag.String("memsched", "", "cell: DRAM scheduling policy (see the list below; empty = the paper's bus model)")
+		memsched = flag.String("memsched", "", "cell: DRAM scheduling policy (see the list below; empty or \"bus\" = the paper's bus model)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		faults   = flag.String("faults", "", "fault plan, e.g. 'oom:0.01,panic:0.1,budget:512MiB,squeeze:0.5,cachecorrupt' (see ParseFaults)")
@@ -159,15 +159,13 @@ func run() int {
 		return 2
 	}
 
-	switch *fidelity {
-	case "", experiments.FidelityFull, experiments.FidelitySampled:
-	default:
-		fmt.Fprintf(os.Stderr, "webmm: unknown -fidelity %q (want full or sampled)\n", *fidelity)
-		return 2
-	}
 	cfg := experiments.Config{
 		Scale: *scale, Warmup: *warmup, Measure: *measure,
 		Seed: *seed, XeonLargePages: *xeonLP, Fidelity: *fidelity,
+	}
+	if err := cfg.Check(); err != nil {
+		fmt.Fprintln(os.Stderr, "webmm:", err)
+		return 2
 	}
 	// SIGINT/SIGTERM cancels in-flight cells cooperatively: they fail,
 	// the failure report prints, and the run exits nonzero — no abandoned
@@ -202,20 +200,18 @@ func run() int {
 			return 2
 		}
 	}
-	if *memsched != "" {
-		if _, err := memsys.PolicyByName(memsys.PolicyName(*memsched)); err != nil {
-			fmt.Fprintln(os.Stderr, "webmm: -memsched:", err)
-			return 2
-		}
-	}
 
 	names := []string{*exp}
 	if *exp == "all" {
 		names = experiments.PaperExperimentNames()
 	}
+	spec := experiments.CellSpec{
+		Platform: *platform, Alloc: *alloc, Workload: *wl, Cores: *cores,
+		Budget: cellBudget, MemSched: *memsched,
+	}
 	var ran []string
 	for _, name := range names {
-		if err := runExperiment(r, name, *jobs, *csv, *platform, *alloc, *wl, *cores, cellBudget, *memsched); err != nil {
+		if err := runExperiment(r, name, *jobs, *csv, spec); err != nil {
 			fmt.Fprintln(os.Stderr, "webmm:", err)
 			return 2
 		}
@@ -268,15 +264,15 @@ func run() int {
 // runExperiment fans the named experiment's cell plan out over the worker
 // pool, then renders its tables (and, in table mode, charts) from the
 // memoized results. "cell" is the one experiment outside the registry: a
-// single cell selected by the -platform/-alloc/-workload/-cores flags.
-func runExperiment(r *experiments.Runner, name string, jobs int, csv bool,
-	platform, alloc, wl string, cores int, budget uint64, memsched string) error {
+// single cell selected by the -platform/-alloc/-workload/-cores/-budget/
+// -memsched flags, checked by Resolve before it simulates.
+func runExperiment(r *experiments.Runner, name string, jobs int, csv bool, spec experiments.CellSpec) error {
 	if name == "cell" {
-		cr := r.Run(experiments.Cell{
-			Platform: platform, Alloc: alloc, Workload: wl, Cores: cores,
-			Budget: budget, MemSched: memsched,
-		})
-		printCell(cr)
+		c, err := r.Resolve(spec)
+		if err != nil {
+			return err
+		}
+		printCell(r.Run(c))
 		return nil
 	}
 	d, err := experiments.ExperimentByName(name)

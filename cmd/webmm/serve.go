@@ -31,9 +31,6 @@ func serveCmd(args []string) int {
 		seed     = fs.Uint64("seed", 20090615, "default random seed")
 		fidelity = fs.String("fidelity", "full", "default measurement fidelity: full or sampled")
 		cellDir  = fs.String("cellcache", "", "on-disk cell cache shared by all requests (empty = disabled)")
-		remCache = fs.String("remote-cache", "", "base URL of another webmm instance whose /cache route backs the cell cache (overrides -cellcache); the whole fleet then shares one result store")
-		workers  = fs.String("workers", "", "comma-separated worker base URLs; with this set the instance is a fleet coordinator that plans locally and executes every cell remotely (with coalescing, failover, and hedging)")
-		hedge    = fs.Float64("hedge", 4, "coordinator mode: hedge a cell onto a second shard after this multiple of the observed p50 cell time (<0 disables)")
 		timeout  = fs.Duration("timeout", 0, "per-cell wall-clock budget (0 = unlimited); requests may tighten it")
 		drain    = fs.Duration("drain-timeout", 60*time.Second, "graceful-shutdown budget before in-flight cells are cancelled")
 		gbudget  = fs.String("global-budget", "", "global memory budget shared by all running cells, e.g. 2GiB (empty = unlimited); a controller apportions it by allocation rate and admission degrades under pressure")
@@ -45,20 +42,14 @@ func serveCmd(args []string) int {
 		fs.PrintDefaults()
 		fmt.Fprintf(fs.Output(), `
 Endpoints:
-  POST /run          a cell ({"platform","alloc","workload","cores",...}) or an
-                     experiment ({"experiment":"fig1"}); streams NDJSON progress
-  GET  /cache/{key}  fleet-shared cell result store (also PUT, DELETE)
-  GET  /metrics      live Prometheus metrics of the shared telemetry registry
-  GET  /healthz      queue, worker, and memory-pressure status
-
-With -workers, the instance becomes a fleet coordinator: experiments are
-planned with the ordinary planners but every cell executes remotely over
-POST /run on the listed workers (which must share the coordinator's
-simulation defaults). Identical in-flight cells across clients coalesce to
-one upstream call; unreachable shards fail over; cells slower than -hedge ×
-the observed median are hedged onto a second shard and the first answer
-wins. Point every instance at one store with -remote-cache and a cell
-simulated anywhere is a cache hit everywhere.
+  POST /run      a cell ({"platform","alloc","workload","cores","ruby",
+                 "restart_every","budget","memsched"}) or an experiment
+                 ({"experiment":"fig1"}), plus optional config overrides
+                 ("scale","warmup","measure","seed","fidelity","faults",
+                 "timeout_ms"); streams NDJSON progress. A bad config or
+                 cell is a 400 before any simulation.
+  GET  /metrics  live Prometheus metrics of the shared telemetry registry
+  GET  /healthz  queue, worker, and memory-pressure status
 
 With -global-budget, a MemBalancer-style controller splits the budget
 across running cells by allocation rate, and admission walks a pressure
@@ -90,19 +81,6 @@ SIGTERM drains in-flight cells (bounded by -drain-timeout) and exits 0.
 		return 2
 	}
 
-	var cacheBE experiments.CacheBackend
-	if *remCache != "" {
-		cacheBE = experiments.NewHTTPBackend(*remCache)
-	}
-	var workerList []string
-	if *workers != "" {
-		for _, w := range strings.Split(*workers, ",") {
-			if w = strings.TrimSpace(w); w != "" {
-				workerList = append(workerList, w)
-			}
-		}
-	}
-
 	srv, err := server.New(server.Config{
 		Addr:       *addr,
 		Jobs:       *jobs,
@@ -112,9 +90,6 @@ SIGTERM drains in-flight cells (bounded by -drain-timeout) and exits 0.
 			Fidelity: *fidelity,
 		},
 		CacheDir:     *cellDir,
-		Cache:        cacheBE,
-		Workers:      workerList,
-		HedgeAfter:   *hedge,
 		CellTimeout:  *timeout,
 		DrainTimeout: *drain,
 		GlobalBudget: globalBudget,

@@ -31,12 +31,12 @@ func main() {
 
 	table := webmm.NewReportTable("", "allocator", "txns/sec", "vs default",
 		"alloc CPU share", "bus util")
-	base, err := study.Cell(webmm.CellSpec{Alloc: webmm.AllocDefault, Workload: wl})
+	base, err := study.Cell(webmm.CellSpec{Alloc: webmm.AllocDefault, Workload: wl, Cores: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, alloc := range []webmm.AllocatorName{webmm.AllocDefault, webmm.AllocRegion, webmm.AllocDDmalloc} {
-		out, err := study.Cell(webmm.CellSpec{Alloc: alloc, Workload: wl})
+		out, err := study.Cell(webmm.CellSpec{Alloc: alloc, Workload: wl, Cores: 8})
 		if err != nil {
 			log.Fatal(err)
 		}

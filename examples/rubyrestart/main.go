@@ -22,7 +22,7 @@ func main() {
 	}
 	rails := func(alloc webmm.AllocatorName, restartEvery int) webmm.MachineResult {
 		out, err := study.Cell(webmm.CellSpec{
-			Alloc: alloc, Ruby: true, RestartEvery: restartEvery,
+			Alloc: alloc, Cores: 8, Ruby: true, RestartEvery: restartEvery,
 		})
 		if err != nil {
 			log.Fatal(err)

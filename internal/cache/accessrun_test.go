@@ -13,13 +13,6 @@ import (
 // same random traces and require exact agreement, across both the general
 // run loop and the clean fast path (accessRunClean), and across geometries
 // with full and partial signature words (8, 16 and 12/4 ways).
-//
-// The two sides also deliberately differ in memo configuration: the batched
-// cache runs with its line→way memo enabled, the reference without. The
-// memo promises to change only how a resident way is found, never the
-// outcome, so every observable — results, counters, tags, flags,
-// replacement state — must still match exactly, including across installs,
-// writebacks and invalidations that silently strand stale memo entries.
 
 // accessSeq is the per-line reference for AccessRun: Access on every line,
 // collecting misses in RunMiss form.
@@ -67,33 +60,6 @@ func diffState(a, b *Cache) string {
 	return ""
 }
 
-// checkMemo verifies the memo's one invariant: an entry may be arbitrarily
-// stale, but whenever it *validates* (the recorded way's tag holds the
-// recorded line) it must name exactly the way the signature scan would
-// find. Self-validation makes a violation impossible short of an
-// out-of-range way, which is exactly what this guards.
-func checkMemo(c *Cache) string {
-	for i, e := range c.memo {
-		if e == 0 {
-			continue
-		}
-		line := e & memoLineMask
-		w := int(e >> memoWayShift)
-		if w >= c.ways {
-			return fmt.Sprintf("memo[%d]: way %d out of range", i, w)
-		}
-		sn := int(line & c.setMask)
-		base := sn * c.ways
-		tags := c.tags[base : base+c.ways]
-		if tags[w]&tagLineMask == line {
-			if fw := c.findWay(&c.meta[sn], line, tags); fw != w {
-				return fmt.Sprintf("memo[%d]: validates way %d for line %#x but findWay says %d", i, w, line, fw)
-			}
-		}
-	}
-	return ""
-}
-
 func sameMisses(got, want []RunMiss) string {
 	if len(got) != len(want) {
 		return fmt.Sprintf("%d misses vs %d", len(got), len(want))
@@ -108,10 +74,10 @@ func sameMisses(got, want []RunMiss) string {
 
 func TestAccessRunDifferential(t *testing.T) {
 	geoms := []Config{
-		{Name: "tiny4w", Size: 4096, Ways: 4, WayMemo: 16},      // 16 sets, heavy conflicts
-		{Name: "l1d8w", Size: 32 << 10, Ways: 8, WayMemo: 128},  // Xeon L1, one full sig word
-		{Name: "l2n12w", Size: 24 << 10, Ways: 12, WayMemo: 64}, // Niagara ways: partial second sig word
-		{Name: "l2x16w", Size: 64 << 10, Ways: 16, WayMemo: 32}, // two full sig words, tiny memo (heavy slot reuse)
+		{Name: "tiny4w", Size: 4096, Ways: 4},      // 16 sets, heavy conflicts
+		{Name: "l1d8w", Size: 32 << 10, Ways: 8},   // Xeon L1, one full sig word
+		{Name: "l2n12w", Size: 24 << 10, Ways: 12}, // Niagara ways: partial second sig word
+		{Name: "l2x16w", Size: 64 << 10, Ways: 16}, // two full sig words
 	}
 	// ops mixes name what each trace may do beyond read runs; "clean" keeps
 	// the cache on the accessRunClean fast path for its whole life.
@@ -120,9 +86,7 @@ func TestAccessRunDifferential(t *testing.T) {
 		for _, mode := range modes {
 			t.Run(cfg.Name+"/"+mode, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(cfg.Size) + int64(len(mode))))
-				refCfg := cfg
-				refCfg.WayMemo = 0 // the reference runs memo-free
-				run, ref := New(cfg), New(refCfg)
+				run, ref := New(cfg), New(cfg)
 				sets := uint64(cfg.Sets())
 				span := sets * uint64(cfg.Ways) * 3 // enough aliasing to evict
 				var gotBuf []RunMiss
@@ -165,8 +129,6 @@ func TestAccessRunDifferential(t *testing.T) {
 						if mode == "everything" {
 							line := 1 + rng.Uint64()%span
 							if rng.Intn(4) == 0 {
-								// Invalidate strands the line's memo entry;
-								// nothing may ever validate it again.
 								if run.Invalidate(line) != ref.Invalidate(line) {
 									t.Fatalf("op %d Invalidate(%d) diverged", op, line)
 								}
@@ -177,9 +139,6 @@ func TestAccessRunDifferential(t *testing.T) {
 					}
 					if d := diffState(run, ref); d != "" {
 						t.Fatalf("op %d (%s): state diverged: %s", op, mode, d)
-					}
-					if d := checkMemo(run); d != "" {
-						t.Fatalf("op %d (%s): %s", op, mode, d)
 					}
 				}
 			})
@@ -194,10 +153,8 @@ func FuzzAccessRun(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 1, 9, 3, 2, 17, 0, 3, 9, 0, 0, 200, 9})
 	f.Add([]byte{1, 255, 16, 0, 3, 3, 3, 3, 3, 2, 7, 1, 1, 7, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The memo'd side uses an 8-slot memo over a 64-line space: slot
-		// collisions and stale entries on every few ops.
-		cfg := Config{Name: "fuzz", Size: 1024, Ways: 4, WayMemo: 8} // 4 sets
-		run, ref := New(cfg), New(Config{Name: "fuzz", Size: 1024, Ways: 4})
+		cfg := Config{Name: "fuzz", Size: 1024, Ways: 4} // 4 sets
+		run, ref := New(cfg), New(cfg)
 		var gotBuf []RunMiss
 		for i := 0; i+2 < len(data); i += 3 {
 			op, a, b := data[i]&3, uint64(data[i+1]), uint64(data[i+2])
@@ -228,9 +185,6 @@ func FuzzAccessRun(f *testing.F) {
 			}
 			if d := diffState(run, ref); d != "" {
 				t.Fatalf("state diverged after op %d: %s", i/3, d)
-			}
-			if d := checkMemo(run); d != "" {
-				t.Fatalf("after op %d: %s", i/3, d)
 			}
 		}
 	})

@@ -30,11 +30,6 @@ type Config struct {
 	Size uint64
 	// Ways is the associativity.
 	Ways int
-	// WayMemo, when nonzero, sizes the cache's line→way memo table in
-	// slots (rounded up to a power of two, capped at memoMaxEntries).
-	// Zero disables the memo. See the memo field for the design and
-	// DESIGN.md §5 for when it pays.
-	WayMemo int
 }
 
 // Sets returns the number of sets implied by the config.
@@ -76,9 +71,9 @@ func (c Config) Sets() int {
 // tick wraps after 4 G accesses — a paper-scale cell prices more — silently
 // inverting LRU order mid-run, and a permutation has no counter to wrap.
 //
-// Lookups probe the set's most-recently-hit way, then the optional line→way
-// memo, before scanning: both probes only change *search order*, never
-// which way matches or which way LRU evicts.
+// Lookups probe the set's most-recently-hit way before scanning: the probe
+// only changes *search order*, never which way matches or which way LRU
+// evicts.
 type Cache struct {
 	cfg      Config
 	sets     int
@@ -91,21 +86,6 @@ type Cache struct {
 
 	sigStride   int    // signature words per set (1 for ways <= 8, else 2)
 	sigLastMask uint64 // high-bit mask covering the last word's real ways
-
-	// memo is a small direct-mapped line→way lookup table: slot
-	// line&memoMask remembers the way a recently-found line occupied,
-	// packed into the line word's spare top byte. A probe is validated
-	// against the tag it names — the entry claims (line, way), and the
-	// way's tag either still holds line or the entry is stale — so the
-	// memo needs no invalidation hooks anywhere and can never change a
-	// lookup's outcome, only skip the signature scan that would have
-	// produced it. It extends the per-set MRU probe the way that probe
-	// extends findWay: mru catches a set's immediate repeats, the memo
-	// catches recently-found lines that interleaved access streams rotate
-	// through. Sized by Config.WayMemo; empty (mask 0, always misses)
-	// when disabled.
-	memo     []uint64
-	memoMask uint64
 
 	// Counters are cumulative for the life of the cache (Reset clears).
 	Hits, Misses       uint64
@@ -146,16 +126,6 @@ const (
 	// recency permutation. Ways the cache doesn't have sit inert in the
 	// high nibbles and are never promoted past a real way.
 	identityOrder = 0xFEDCBA9876543210
-
-	// memoWayShift packs a memo entry's way into the top byte of its line
-	// word; line numbers never reach 2^56, so the byte is always free.
-	memoWayShift = 56
-	memoLineMask = uint64(1)<<memoWayShift - 1
-
-	// memoMaxEntries caps the memo's footprint (8192 slots = 64 KiB):
-	// beyond the cap extra slots stop paying for their host-cache
-	// pressure.
-	memoMaxEntries = 8192
 )
 
 // promote moves way w to the MRU front of a packed recency word: the nibble
@@ -216,27 +186,6 @@ func (c *Cache) findWay(m *setMeta, line uint64, tags []uint64) int {
 	return -1
 }
 
-// memoWay returns the memo's validated way for line in the set whose tags
-// are given, or -1. The recorded way's tag is the validator: it either still
-// holds line (the entry is live) or it does not (the entry is stale and is
-// ignored). Entry zero never validates — line 0 is never accessed.
-func (c *Cache) memoWay(line uint64, tags []uint64) int {
-	e := c.memo[line&c.memoMask]
-	if e&memoLineMask == line {
-		if w := int(e >> memoWayShift); tags[w]&tagLineMask == line {
-			return w
-		}
-	}
-	return -1
-}
-
-// memoRecord remembers that line was found at way w. With the memo disabled
-// the mask is 0 and slot 0 absorbs every store; callers on paths that
-// already branch on memoMask skip the call instead.
-func (c *Cache) memoRecord(line uint64, w int) {
-	c.memo[line&c.memoMask] = line | uint64(w)<<memoWayShift
-}
-
 // setSig records line's signature for way w in metadata record m.
 func setSig(m *setMeta, w int, line uint64) {
 	shift := uint(w&7) * 8
@@ -258,15 +207,6 @@ func New(cfg Config) *Cache {
 	if r := cfg.Ways % 8; r != 0 {
 		lastMask &= uint64(1)<<(8*r) - 1
 	}
-	memoSize := 1
-	if cfg.WayMemo > 0 {
-		for memoSize < cfg.WayMemo {
-			memoSize *= 2
-		}
-		if memoSize > memoMaxEntries {
-			memoSize = memoMaxEntries
-		}
-	}
 	c := &Cache{
 		cfg:         cfg,
 		sets:        sets,
@@ -277,8 +217,6 @@ func New(cfg Config) *Cache {
 		meta:        make([]setMeta, sets),
 		sigStride:   stride,
 		sigLastMask: lastMask,
-		memo:        make([]uint64, memoSize),
-		memoMask:    uint64(memoSize - 1),
 	}
 	for i := range c.meta {
 		c.meta[i].order = identityOrder
@@ -300,15 +238,7 @@ func (c *Cache) Access(line uint64, write bool) (hit, prefetched bool, victim Vi
 	m := &c.meta[sn]
 	w := int(m.mru)
 	if !(w < len(tags) && tags[w]&tagLineMask == line) {
-		if c.memoMask != 0 {
-			if w = c.memoWay(line, tags); w < 0 {
-				if w = c.findWay(m, line, tags); w < 0 {
-					c.Misses++
-					return false, false, c.install(m, base, line, write, false)
-				}
-				c.memoRecord(line, w)
-			}
-		} else if w = c.findWay(m, line, tags); w < 0 {
+		if w = c.findWay(m, line, tags); w < 0 {
 			c.Misses++
 			return false, false, c.install(m, base, line, write, false)
 		}
@@ -381,16 +311,7 @@ func (c *Cache) AccessRun(first, n uint64, write bool, buf []RunMiss) []RunMiss 
 		w := int(m.mru)
 		hit := w < ways && tags[w]&tagLineMask == line
 		if !hit {
-			w = -1
-			if c.memoMask != 0 {
-				w = c.memoWay(line, tags)
-			}
-			if w < 0 {
-				if w = c.findWay(m, line, tags); w >= 0 && c.memoMask != 0 {
-					c.memoRecord(line, w)
-				}
-			}
-			if w >= 0 {
+			if w = c.findWay(m, line, tags); w >= 0 {
 				m.mru = uint16(w)
 				hit = true
 			}
@@ -440,16 +361,7 @@ func (c *Cache) accessRunClean(first, n uint64, buf []RunMiss) []RunMiss {
 		w := int(m.mru)
 		hit := w < ways && tags[w] == line
 		if !hit {
-			w = -1
-			if c.memoMask != 0 {
-				w = c.memoWay(line, tags)
-			}
-			if w < 0 {
-				if w = c.findWay(m, line, tags); w >= 0 && c.memoMask != 0 {
-					c.memoRecord(line, w)
-				}
-			}
-			if w >= 0 {
+			if w = c.findWay(m, line, tags); w >= 0 {
 				m.mru = uint16(w)
 				hit = true
 			}
@@ -481,9 +393,6 @@ func (c *Cache) accessRunClean(first, n uint64, buf []RunMiss) []RunMiss {
 			}
 			tags[oldest] = line
 			setSig(m, oldest, line)
-			if c.memoMask != 0 {
-				c.memoRecord(line, oldest)
-			}
 			m.order = ord
 			m.mru = uint16(oldest)
 			buf = append(buf, RunMiss{Line: line, Victim: victim})
@@ -509,17 +418,7 @@ func (c *Cache) Install(line uint64, prefetch bool) (installed bool, victim Vict
 	if w := int(m.mru); w < len(tags) && tags[w]&tagLineMask == line {
 		return false, Victim{}
 	}
-	// A memo-validated line is resident: the common case for a prefetcher
-	// re-issuing lines of an overlapping stream window, and residency is
-	// the only question Install asks, so the whole signature scan is
-	// skipped without touching any state.
-	if c.memoMask != 0 && c.memoWay(line, tags) >= 0 {
-		return false, Victim{}
-	}
-	if w := c.findWay(m, line, tags); w >= 0 {
-		if c.memoMask != 0 {
-			c.memoRecord(line, w)
-		}
+	if c.findWay(m, line, tags) >= 0 {
 		return false, Victim{}
 	}
 	if prefetch {
@@ -582,9 +481,6 @@ func (c *Cache) install(m *setMeta, base int, line uint64, write, prefetch bool)
 	}
 	c.tags[base+oldest] = t
 	setSig(m, oldest, line)
-	if c.memoMask != 0 {
-		c.memoRecord(line, oldest)
-	}
 	m.order = ord
 	m.mru = uint16(oldest)
 	return victim
@@ -605,17 +501,7 @@ func (c *Cache) WriteBack(line uint64) Victim {
 		tags[w] |= flagDirty
 		return Victim{}
 	}
-	if c.memoMask != 0 {
-		if w := c.memoWay(line, tags); w >= 0 {
-			m.mru = uint16(w)
-			tags[w] |= flagDirty
-			return Victim{}
-		}
-	}
 	if w := c.findWay(m, line, tags); w >= 0 {
-		if c.memoMask != 0 {
-			c.memoRecord(line, w)
-		}
 		m.mru = uint16(w)
 		tags[w] |= flagDirty
 		return Victim{}
@@ -641,9 +527,7 @@ func (c *Cache) Contains(line uint64) bool {
 
 // Invalidate drops line if resident, returning whether it was dirty. The
 // way keeps its slot in the recency permutation; because the set is no
-// longer full, the next install re-fills it via the invalid-way scan. The
-// line's memo entry, if any, goes stale and stops validating the moment the
-// tag is cleared — no memo bookkeeping is needed.
+// longer full, the next install re-fills it via the invalid-way scan.
 func (c *Cache) Invalidate(line uint64) (wasDirty bool) {
 	sn := int(line & c.setMask)
 	set := sn * c.ways
@@ -673,9 +557,6 @@ func (c *Cache) Reset() {
 	}
 	for i := range c.meta {
 		c.meta[i] = setMeta{order: identityOrder}
-	}
-	for i := range c.memo {
-		c.memo[i] = 0
 	}
 	c.Hits, c.Misses, c.Writebacks = 0, 0, 0
 	c.PrefetchInstalls, c.PrefetchUsefulHits = 0, 0

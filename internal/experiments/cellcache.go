@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 )
 
 // cellCacheVersion invalidates every on-disk entry when the simulator or
@@ -23,43 +25,29 @@ import (
 // whenever the version bumps.
 const cellCacheVersion = 2
 
-// CellCache persists CellResults so repeated runs skip already-simulated
-// cells. Entries are keyed by a hash of (format version, Config, Cell):
-// changing any Config field — scale, warmup, measure, seed, the large-page
-// variant — produces different keys, so one store can safely be shared
-// between configurations, between processes, and (through an HTTP backend)
-// between every instance of a serve fleet. A nil *CellCache is valid and
-// caches nothing, which is how the Runner treats "cache disabled".
-//
-// Storage is pluggable (CacheBackend); the verification that makes sharing
-// safe lives here, above the seam, so every backend is equally trustworthy.
+// CellCache persists CellResults on disk so repeated runs skip
+// already-simulated cells. Entries are keyed by a hash of (format version,
+// Config, Cell): changing any Config field — scale, warmup, measure, seed,
+// the large-page variant — produces different keys, so a cache directory
+// can safely be shared between configurations and between processes. A nil
+// *CellCache is valid and caches nothing, which is how the Runner treats
+// "cache disabled".
 type CellCache struct {
-	be CacheBackend
+	dir string
 }
 
-// NewCellCache opens (creating if needed) a disk-backed cache rooted at
-// dir — the original on-disk layout, unchanged.
+// NewCellCache opens (creating if needed) a cache rooted at dir. Entries
+// live at dir/<key>.json.
 func NewCellCache(dir string) (*CellCache, error) {
-	be, err := NewDiskBackend(dir)
-	if err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cellcache: %w", err)
 	}
-	return &CellCache{be: be}, nil
+	return &CellCache{dir: dir}, nil
 }
 
-// NewCellCacheOn wraps an arbitrary backend — a remote HTTP store shared
-// by a fleet, or an in-memory store for tests. nil yields a nil cache
-// (caches nothing).
-func NewCellCacheOn(be CacheBackend) *CellCache {
-	if be == nil {
-		return nil
-	}
-	return &CellCache{be: be}
-}
-
-// cellEntry is the stored format. Config and Cell are stored alongside the
+// cellEntry is the on-disk format. Config and Cell are stored alongside the
 // result and re-verified on load, so a hash collision, a stale format, or a
-// corrupted entry can never satisfy the wrong lookup — it just misses.
+// corrupted file can never satisfy the wrong lookup — it just misses.
 type cellEntry struct {
 	Version int
 	Cfg     Config
@@ -67,13 +55,11 @@ type cellEntry struct {
 	Result  CellResult
 }
 
-// key is the content address of (cfg, c): the first 16 bytes of a sha256
-// over the version and both structs, hex-encoded. Identical to the disk
-// cache's historical file naming (minus the ".json" the disk backend adds),
-// so pre-refactor cache directories keep hitting.
-func (cc *CellCache) key(cfg Config, c Cell) string {
+// path is the entry file of (cfg, c): the first 16 bytes of a sha256 over
+// the version and both structs, hex-encoded.
+func (cc *CellCache) path(cfg Config, c Cell) string {
 	h := sha256.Sum256([]byte(fmt.Sprintf("v%d|%+v|%+v", cellCacheVersion, cfg, c)))
-	return hex.EncodeToString(h[:16])
+	return filepath.Join(cc.dir, hex.EncodeToString(h[:16])+".json")
 }
 
 // load returns the cached result for (cfg, c) if present and valid. An
@@ -85,26 +71,30 @@ func (cc *CellCache) load(cfg Config, c Cell) (CellResult, bool) {
 	if cc == nil {
 		return CellResult{}, false
 	}
-	key := cc.key(cfg, c)
-	data, ok := cc.be.Load(key)
-	if !ok {
+	path := cc.path(cfg, c)
+	data, err := os.ReadFile(path)
+	if err != nil {
 		return CellResult{}, false
 	}
 	var e cellEntry
 	if err := json.Unmarshal(data, &e); err != nil ||
 		e.Version != cellCacheVersion || e.Cfg != cfg || e.Cell != c ||
 		e.Result.Failed {
-		cc.be.Delete(key)
+		_ = os.Remove(path)
 		return CellResult{}, false
 	}
 	return e.Result, true
 }
 
 // store persists the result for (cfg, c). Failed results are never stored:
-// a failure can be environmental (timeout, remote shard error) and must not
-// masquerade as the cell's answer — and load would reject it anyway.
-// Everything else is best-effort through the backend: a run must never fail
-// because its cache did.
+// a failure can be environmental (timeout, cancellation) and must not
+// masquerade as the cell's answer — and load would reject it anyway. Write
+// failures are silent: the cache is best-effort and a run must never fail
+// because its cache directory did. The write-then-rename keeps any
+// concurrent reader from observing partial entries, and os.CreateTemp gives
+// every writer its own scratch file: two Runners in one process (the
+// server's steady state) or two processes storing the same cell never
+// interleave writes — last rename wins, and both rename complete entries.
 func (cc *CellCache) store(cfg Config, c Cell, res CellResult) {
 	if cc == nil || res.Failed {
 		return
@@ -115,7 +105,19 @@ func (cc *CellCache) store(cfg Config, c Cell, res CellResult) {
 	if err != nil {
 		return
 	}
-	cc.be.Store(cc.key(cfg, c), data)
+	f, err := os.CreateTemp(cc.dir, "cell-*.tmp")
+	if err != nil {
+		return
+	}
+	tmp := f.Name()
+	_, werr := f.Write(data)
+	if cerr := f.Close(); werr != nil || cerr != nil {
+		_ = os.Remove(tmp)
+		return
+	}
+	if err := os.Rename(tmp, cc.path(cfg, c)); err != nil {
+		_ = os.Remove(tmp)
+	}
 }
 
 // storeCorrupt writes a deliberately broken entry for (cfg, c) — fault
@@ -125,5 +127,5 @@ func (cc *CellCache) storeCorrupt(cfg Config, c Cell) {
 	if cc == nil {
 		return
 	}
-	cc.be.Store(cc.key(cfg, c), []byte(`{"Version":`))
+	_ = os.WriteFile(cc.path(cfg, c), []byte(`{"Version":`), 0o644)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"webmm/internal/machine"
@@ -214,7 +215,30 @@ func TestScalePlatformPreservesGeometry(t *testing.T) {
 	}
 }
 
+// TestConfigValidation: Check names every configuration no runner can
+// simulate, and NewRunner refuses such a configuration outright.
 func TestConfigValidation(t *testing.T) {
+	for _, tc := range []struct {
+		cfg Config
+		err string // substring of Check's error; "" means valid
+	}{
+		{DefaultConfig(), ""},
+		{Config{Scale: 1, Warmup: 0, Measure: 1, Fidelity: FidelityFull}, ""},
+		{Config{Scale: 4, Measure: 1, Fidelity: FidelitySampled}, ""},
+		{Config{Scale: 3, Measure: 1}, "scale 3 must be a power of two"},
+		{Config{Scale: 0, Measure: 1}, "scale 0"},
+		{Config{Scale: 8, Measure: 0}, "measure 0 must be >= 1"},
+		{Config{Scale: 8, Warmup: -1, Measure: 1}, "warmup -1"},
+		{Config{Scale: 8, Measure: 1, Fidelity: "exact"}, `unknown fidelity "exact"`},
+	} {
+		err := tc.cfg.Check()
+		if tc.err == "" && err != nil {
+			t.Errorf("%+v: unexpected error %v", tc.cfg, err)
+		}
+		if tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+			t.Errorf("%+v: error %v, want one containing %q", tc.cfg, err, tc.err)
+		}
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("non-power-of-two scale accepted")

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"webmm/internal/telemetry"
 	"webmm/internal/workload"
 )
 
@@ -59,11 +60,13 @@ func TestRunAllMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunSameCell races many Run calls for one cell; under
+// TestConcurrentRunSameCell races many Run calls for one cell: they must
+// collapse into one simulation (the singleflight), and under
 // `go test -race` this also proves the memo map and singleflight are
 // data-race free.
 func TestConcurrentRunSameCell(t *testing.T) {
 	r := NewRunner(parCfg())
+	r.Tel = telemetry.NewLive()
 	c := phpCell("xeon", "ddmalloc", workload.PhpBB().Name, 1)
 	const n = 8
 	results := make([]CellResult, n)
@@ -80,6 +83,9 @@ func TestConcurrentRunSameCell(t *testing.T) {
 		if !reflect.DeepEqual(results[0], results[i]) {
 			t.Fatalf("concurrent Run call %d returned a different result", i)
 		}
+	}
+	if got := r.Tel.Metrics().Counter("webmm_cells_total", "", nil).Value(); got != 1 {
+		t.Fatalf("8 concurrent runs of one cell resolved it %d times, want 1", got)
 	}
 }
 

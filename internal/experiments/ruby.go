@@ -25,12 +25,6 @@ func (r *Runner) rubyRestart(period int) int {
 	return p
 }
 
-// RubyRestartPeriod converts a restart period expressed in the paper's
-// full-scale transactions into this runner's scaled Cell.RestartEvery value
-// (0 stays 0, meaning no restarts). The public Study API accepts paper-scale
-// periods and converts through here.
-func (r *Runner) RubyRestartPeriod(period int) int { return r.rubyRestart(period) }
-
 // ---------------------------------------------------------------------------
 // Figure 10: Rails throughput under glibc, Hoard, TCmalloc and DDmalloc on
 // 8 Xeon cores.
@@ -132,11 +126,11 @@ var Fig12Periods = []int{20, 100, 500, 2500, 0}
 
 // Fig12Entry is one curve point.
 type Fig12Entry struct {
-	Alloc        string
-	Period       int // full-scale transactions per process; 0 = no restart
-	Throughput   float64
-	VsNoRestart  float64 // relative to the same allocator without restarts
-	Failed       bool
+	Alloc       string
+	Period      int // full-scale transactions per process; 0 = no restart
+	Throughput  float64
+	VsNoRestart float64 // relative to the same allocator without restarts
+	Failed      bool
 }
 
 // Fig12 runs the restart-period sweep.

@@ -77,15 +77,25 @@ func DefaultConfig() Config {
 	return Config{Scale: 32, Warmup: 2, Measure: 3, Seed: 20090615}
 }
 
-func (c Config) validate() {
+// Check reports the first field of c that no runner can simulate: a scale
+// that is not a power of two, a negative warmup, fewer than one measured
+// transaction, or an unknown fidelity. The CLI, the server and NewStudy
+// call it on their input before building a runner.
+func (c Config) Check() error {
 	if c.Scale < 1 || c.Scale&(c.Scale-1) != 0 {
-		panic(fmt.Sprintf("experiments: scale %d must be a power of two", c.Scale))
+		return fmt.Errorf("scale %d must be a power of two", c.Scale)
+	}
+	if c.Warmup < 0 {
+		return fmt.Errorf("warmup %d must be >= 0", c.Warmup)
+	}
+	if c.Measure < 1 {
+		return fmt.Errorf("measure %d must be >= 1", c.Measure)
 	}
 	switch c.Fidelity {
 	case "", FidelityFull, FidelitySampled:
-	default:
-		panic(fmt.Sprintf("experiments: unknown fidelity %q", c.Fidelity))
+		return nil
 	}
+	return fmt.Errorf("unknown fidelity %q (want %q or %q)", c.Fidelity, FidelityFull, FidelitySampled)
 }
 
 // scalePlatform shrinks the capacity-dependent structures with the
@@ -186,14 +196,6 @@ func (e *CellError) Error() string {
 	return fmt.Sprintf("cell %+v failed after %d attempt(s): %v", e.Cell, e.Attempts, e.Err)
 }
 
-// ErrTransient marks a cell failure as environmental — the infrastructure
-// failed, not the cell (an unreachable worker shard, a shed request, a
-// dropped progress stream). Like a cancellation it is recorded in
-// Failures but never memoized: the next caller gets a fresh attempt.
-// Remote executors (Runner.Exec) wrap such failures so the distinction
-// survives the runner's error handling.
-var ErrTransient = errors.New("transient cell failure")
-
 func (e *CellError) Unwrap() error { return e.Err }
 
 // panicError wraps a recovered panic so the retry logic can distinguish
@@ -231,16 +233,6 @@ type Runner struct {
 	// so a timed-out cell stops on its own goroutine — nothing is
 	// abandoned — and is reported failed.
 	Timeout time.Duration
-	// Exec, when non-nil, replaces local simulation: the singleflight
-	// leader calls Exec instead of simulate, so memoization, the
-	// singleflight collapse, cache read/write, failure accounting, and
-	// the cell-seconds histogram apply identically to remotely executed
-	// cells. The serve fleet coordinator sets it to fan cells out over
-	// worker instances. An error chain containing context.Canceled,
-	// context.DeadlineExceeded, or ErrTransient is environmental — the
-	// failure is recorded but never memoized, and singleflight waiters
-	// with live contexts take over. Set before the first Run.
-	Exec func(ctx context.Context, c Cell) (CellResult, error)
 	// Ctx, when non-nil, cancels in-flight and future cells when done.
 	Ctx context.Context
 	// Tel is the observability layer. The default telemetry.Nop adds no
@@ -258,7 +250,7 @@ type Runner struct {
 	// Per-cell execution accounting for the run manifest. Kept regardless
 	// of telemetry (a map write per simulated cell) so a manifest can be
 	// assembled after the fact.
-	accounts  map[Cell]cellAccount
+	accounts map[Cell]cellAccount
 	cacheHits, cacheMisses,
 	memoHits uint64
 	faultsOOM, faultsPanic atomic.Uint64
@@ -284,9 +276,12 @@ type inflightCell struct {
 	cancelled bool
 }
 
-// NewRunner returns a Runner for cfg.
+// NewRunner returns a Runner for cfg. It panics on a cfg that fails Check:
+// callers check configurations built from outside input first.
 func NewRunner(cfg Config) *Runner {
-	cfg.validate()
+	if err := cfg.Check(); err != nil {
+		panic("experiments: " + err.Error())
+	}
 	cfg = cfg.normalized()
 	return &Runner{
 		Cfg:      cfg,
@@ -389,8 +384,7 @@ func (r *Runner) lead(ctx context.Context, c Cell, fl *inflightCell) CellResult 
 			out = CellResult{Cell: c, Failed: true, Pressured: cerr.Pressured}
 			attempts = cerr.Attempts
 			cancelled = errors.Is(cerr.Err, context.Canceled) ||
-				errors.Is(cerr.Err, context.DeadlineExceeded) ||
-				errors.Is(cerr.Err, ErrTransient)
+				errors.Is(cerr.Err, context.DeadlineExceeded)
 			r.mu.Lock()
 			r.failures = append(r.failures, cerr)
 			r.mu.Unlock()
@@ -414,9 +408,9 @@ func (r *Runner) lead(ctx context.Context, c Cell, fl *inflightCell) CellResult 
 	fl.cancelled = cancelled
 	r.mu.Lock()
 	if !cancelled && !out.Pressured {
-		// A cancelled, timed-out, transient-remote, or pressure-perturbed
-		// cell is not memoized: the next caller gets a fresh attempt (and,
-		// under a controller, a fresh chance at an unconstrained run).
+		// A cancelled, timed-out, or pressure-perturbed cell is not
+		// memoized: the next caller gets a fresh attempt (and, under a
+		// controller, a fresh chance at an unconstrained run).
 		r.cells[c] = out
 		r.accounts[c] = cellAccount{wallMS: float64(wall.Nanoseconds()) / 1e6, cached: cached}
 	}
@@ -633,19 +627,6 @@ func (r *Runner) BuildManifest(experiments []string) *telemetry.Manifest {
 // injection). Timeouts, cancellation, and configuration errors are
 // deterministic and not retried.
 func (r *Runner) runCell(ctx context.Context, c Cell, span *telemetry.Span) (CellResult, *CellError) {
-	if r.Exec != nil {
-		if err := ctx.Err(); err != nil {
-			return CellResult{}, &CellError{Cell: c, Err: err, Attempts: 1}
-		}
-		res, err := r.Exec(ctx, c)
-		if err != nil {
-			// A remote failure may still describe the result (a worker
-			// that reported the cell Failed under pressure); keep the
-			// Pressured bit so the memoization rules stay right.
-			return CellResult{}, &CellError{Cell: c, Err: err, Attempts: 1, Pressured: res.Pressured}
-		}
-		return res, nil
-	}
 	var lastErr error
 	var stack []byte
 	var pressured bool

@@ -17,7 +17,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -28,13 +27,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"webmm/internal/apprt"
 	"webmm/internal/budget"
 	"webmm/internal/experiments"
-	"webmm/internal/machine"
-	"webmm/internal/memsys"
 	"webmm/internal/telemetry"
-	"webmm/internal/workload"
 )
 
 // Config configures a Server. The zero value is usable: it listens on a
@@ -59,23 +54,6 @@ type Config struct {
 	// runner the server creates: a cell simulated for one request (or by
 	// a previous process) is served from disk for the next.
 	CacheDir string
-	// Cache, when non-nil, overrides CacheDir with an explicit cache
-	// backend — typically experiments.NewHTTPBackend pointed at another
-	// instance's /cache route, so a whole fleet shares one
-	// content-addressed result store. Whichever backend ends up active is
-	// also served back out on this instance's own /cache route.
-	Cache experiments.CacheBackend
-	// Workers, when non-empty, puts the server in coordinator mode: POST
-	// /run plans work with the ordinary planners but executes every cell
-	// remotely on these worker base URLs (fanning experiments out in
-	// parallel), with failover and hedged retries. The workers are plain
-	// webmm serve instances and must be launched with the same simulation
-	// defaults as the coordinator.
-	Workers []string
-	// HedgeAfter is the multiple of the observed p50 cell wall time after
-	// which a dispatched cell is hedged onto a second shard (coordinator
-	// mode). 0 means the default (4); negative disables hedging.
-	HedgeAfter float64
 	// CellTimeout bounds each cell attempt's wall time (0 = unbounded).
 	// Requests may tighten it per call, never widen it.
 	CellTimeout time.Duration
@@ -123,12 +101,10 @@ type runnerKey struct {
 // ListenAndServe (which drains on context cancellation) or mount Handler
 // on an existing mux; Close drains the worker pool.
 type Server struct {
-	cfg     Config
-	cache   *experiments.CellCache
-	cacheBE experiments.CacheBackend // backing store for /cache, nil when uncached
-	tel     *telemetry.Telemetry
-	budget  *budget.Controller // nil without Config.GlobalBudget
-	fleet   *fleet             // nil outside coordinator mode
+	cfg    Config
+	cache  *experiments.CellCache
+	tel    *telemetry.Telemetry
+	budget *budget.Controller // nil without Config.GlobalBudget
 
 	queue chan *job
 	wg    sync.WaitGroup
@@ -173,15 +149,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.EventWriteTimeout <= 0 {
 		cfg.EventWriteTimeout = 30 * time.Second
 	}
-	if cfg.HedgeAfter == 0 {
-		cfg.HedgeAfter = 4
-	}
 	def := experiments.DefaultConfig()
 	if cfg.Sim.Scale == 0 {
 		cfg.Sim.Scale = def.Scale
-	}
-	if cfg.Sim.Scale < 1 || cfg.Sim.Scale&(cfg.Sim.Scale-1) != 0 {
-		return nil, fmt.Errorf("server: scale %d must be a power of two", cfg.Sim.Scale)
 	}
 	if cfg.Sim.Measure == 0 {
 		cfg.Sim.Warmup, cfg.Sim.Measure = def.Warmup, def.Measure
@@ -189,11 +159,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Sim.Seed == 0 {
 		cfg.Sim.Seed = def.Seed
 	}
-	fid, err := canonFidelity(cfg.Sim.Fidelity)
-	if err != nil {
+	if err := cfg.Sim.Check(); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	cfg.Sim.Fidelity = fid
 	s := &Server{
 		cfg:     cfg,
 		tel:     cfg.Tel,
@@ -205,24 +173,12 @@ func New(cfg Config) (*Server, error) {
 	if s.tel == nil {
 		s.tel = telemetry.NewLive()
 	}
-	be := cfg.Cache
-	if be == nil && cfg.CacheDir != "" {
-		var err error
-		be, err = experiments.NewDiskBackend(cfg.CacheDir)
-		if err != nil {
-			return nil, fmt.Errorf("server: cell cache: %w", err)
-		}
-	}
-	if be != nil {
-		s.cacheBE = be
-		s.cache = experiments.NewCellCacheOn(be)
-	}
-	if len(cfg.Workers) > 0 {
-		fl, err := newFleet(s, cfg.Workers, cfg.HedgeAfter)
+	if cfg.CacheDir != "" {
+		cc, err := experiments.NewCellCache(cfg.CacheDir)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
-		s.fleet = fl
+		s.cache = cc
 	}
 	if cfg.GlobalBudget > 0 {
 		s.budget = budget.New(cfg.GlobalBudget, cfg.Pressure)
@@ -234,21 +190,6 @@ func New(cfg Config) (*Server, error) {
 		go s.worker()
 	}
 	return s, nil
-}
-
-// canonFidelity validates a measurement-fidelity name before it can
-// reach experiments.NewRunner (which panics on unknown names), and maps
-// the explicit "full" spelling to the zero value so equivalent
-// configurations share one runner in the runnerKey map.
-func canonFidelity(name string) (string, error) {
-	switch name {
-	case "", experiments.FidelityFull:
-		return "", nil
-	case experiments.FidelitySampled:
-		return name, nil
-	}
-	return "", fmt.Errorf("unknown fidelity %q (want %q or %q)",
-		name, experiments.FidelityFull, experiments.FidelitySampled)
 }
 
 // Close drains the worker pool: no new jobs are admitted, queued and
@@ -285,16 +226,6 @@ func (s *Server) runnerFor(k runnerKey) (*experiments.Runner, error) {
 	r.Faults = plan
 	r.Timeout = k.timeout
 	r.Budget = s.budget
-	if s.fleet != nil {
-		// Coordinator mode: the runner keeps its memo, shared cache, and
-		// singleflight — identical in-flight cells across concurrent client
-		// requests collapse to one upstream call — but execution happens on
-		// the fleet.
-		k := k
-		r.Exec = func(ctx context.Context, c experiments.Cell) (experiments.CellResult, error) {
-			return s.fleet.exec(ctx, k, c)
-		}
-	}
 	s.runners[k] = r
 	return r, nil
 }
@@ -385,43 +316,22 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/run", s.handleRun)
-	// The fleet-shared cell store: GET/PUT/DELETE /cache/{key}. Backed by
-	// whatever cache this instance uses (disk or remote); without one the
-	// handler answers 503.
-	mux.Handle("/cache/", experiments.CacheHandler(s.cacheBE))
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/", s.handleIndex)
 	return mux
 }
 
-// runRequest is the POST /run body. Exactly one of Experiment, CellSpec,
-// or (Alloc, Workload) selects the work; zero config fields inherit the
+// runRequest is the POST /run body. Experiment selects a whole experiment;
+// otherwise the embedded cell spec selects one cell (its fields are the
+// body's top-level "platform", "alloc", "workload", "cores", "ruby",
+// "restart_every", "budget" and "memsched"). Zero config fields inherit the
 // server's defaults.
 type runRequest struct {
 	// Experiment names a registered experiment ("fig1", "table4", ...).
 	Experiment string `json:"experiment,omitempty"`
 
-	// CellSpec selects one cell verbatim — every field exactly as the
-	// experiments.Cell struct, RestartEvery already scaled, Budget
-	// included. The fleet coordinator dispatches planned cells this way
-	// so nothing is re-derived on the worker; the flat fields below
-	// remain the hand-written form (ignored when CellSpec is set).
-	CellSpec *experiments.Cell `json:"cell,omitempty"`
-
-	// Cell selection (ignored when Experiment is set).
-	Platform string `json:"platform,omitempty"`
-	Alloc    string `json:"alloc,omitempty"`
-	Workload string `json:"workload,omitempty"`
-	Cores    int    `json:"cores,omitempty"`
-	Ruby     bool   `json:"ruby,omitempty"`
-	// MemSched names a DRAM scheduling policy (memsys registry); the cell
-	// then runs over the banked DRAM model instead of the paper's bus.
-	// Empty keeps the bus.
-	MemSched string `json:"memsched,omitempty"`
-	// RestartEvery is the Ruby restart period in the paper's full-scale
-	// transactions (0 = never); it is rescaled exactly like the figures.
-	RestartEvery int `json:"restart_every,omitempty"`
+	experiments.CellSpec
 
 	// Config overrides (0 = server default).
 	Scale          int    `json:"scale,omitempty"`
@@ -453,7 +363,6 @@ type job struct {
 	cell   experiments.Cell
 	desc   experiments.Descriptor
 	isExp  bool
-	fanout int // concurrent cells for an experiment job (1 = serial)
 	events chan event
 	cancel context.CancelFunc // set by handleRun; fired when the client stalls
 }
@@ -477,12 +386,8 @@ func (j *job) execute() {
 		res := j.r.RunContext(j.ctx, j.cell)
 		e := event{"event": "result", "cell": j.cell.Key(), "failed": res.Failed, "result": res}
 		if res.Failed {
-			// A fleet coordinator on the other end of this stream needs to
-			// know whether the failure was the cell's own (final — retrying
-			// elsewhere would fail the same way) or environmental (timeout,
-			// cancellation, pressure: worth a fresh attempt).
-			if msg, env, ok := j.failure(j.cell); ok {
-				e["error"], e["environmental"] = msg, env
+			if msg, ok := j.failure(j.cell); ok {
+				e["error"] = msg
 			}
 		}
 		j.emit(e)
@@ -490,48 +395,19 @@ func (j *job) execute() {
 	}
 	// Experiments run their planned cells up front so each finished cell
 	// becomes a progress event; the memo dedups cells shared between
-	// requests, and desc.Run below is served entirely from it. A plain
-	// server walks the plan serially (cross-request parallelism comes from
-	// the worker pool); a coordinator fans it out across the fleet with
-	// fanout in flight at once.
+	// requests, and desc.Run below is served entirely from it. The plan is
+	// walked serially: cross-request parallelism comes from the worker pool.
 	var cells []experiments.Cell
 	if j.desc.Cells != nil {
 		cells = j.desc.Cells(j.r)
 	}
-	if j.fanout > 1 && len(cells) > 1 {
-		var (
-			wg   sync.WaitGroup
-			done atomic.Int64
-			sem  = make(chan struct{}, j.fanout)
-		)
-		for _, c := range cells {
-			if j.ctx.Err() != nil {
-				break
-			}
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(c experiments.Cell) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				res := j.r.RunContext(j.ctx, c)
-				j.emit(event{"event": "cell", "cell": c.Key(), "failed": res.Failed,
-					"done": done.Add(1), "total": len(cells)})
-			}(c)
-		}
-		wg.Wait()
+	for i, c := range cells {
+		res := j.r.RunContext(j.ctx, c)
+		j.emit(event{"event": "cell", "cell": c.Key(), "failed": res.Failed,
+			"done": i + 1, "total": len(cells)})
 		if j.ctx.Err() != nil {
 			j.emit(event{"event": "error", "error": j.ctx.Err().Error()})
 			return
-		}
-	} else {
-		for i, c := range cells {
-			res := j.r.RunContext(j.ctx, c)
-			j.emit(event{"event": "cell", "cell": c.Key(), "failed": res.Failed,
-				"done": i + 1, "total": len(cells)})
-			if j.ctx.Err() != nil {
-				j.emit(event{"event": "error", "error": j.ctx.Err().Error()})
-				return
-			}
 		}
 	}
 	out := j.desc.Run(j.r)
@@ -553,24 +429,15 @@ func (j *job) execute() {
 	j.emit(done)
 }
 
-// failure finds the recorded CellError for c (most recent first) and
-// classifies it: environmental failures — cancellation, deadline, transient
-// fleet trouble, budget pressure — are retryable; everything else is the
-// cell's own deterministic verdict.
-func (j *job) failure(c experiments.Cell) (msg string, environmental bool, ok bool) {
+// failure returns the message of the most recent recorded failure of c.
+func (j *job) failure(c experiments.Cell) (string, bool) {
 	fails := j.r.Failures()
 	for i := len(fails) - 1; i >= 0; i-- {
-		f := fails[i]
-		if f.Cell != c {
-			continue
+		if fails[i].Cell == c {
+			return fails[i].Err.Error(), true
 		}
-		env := f.Pressured ||
-			errors.Is(f.Err, context.Canceled) ||
-			errors.Is(f.Err, context.DeadlineExceeded) ||
-			errors.Is(f.Err, experiments.ErrTransient)
-		return f.Err.Error(), env, true
 	}
-	return "", false, false
+	return "", false
 }
 
 // buildJob validates a request and resolves its runner. Validation happens
@@ -578,18 +445,12 @@ func (j *job) failure(c experiments.Cell) (msg string, environmental bool, ok bo
 func (s *Server) buildJob(ctx context.Context, req runRequest) (*job, error) {
 	cfg := s.cfg.Sim
 	if req.Scale != 0 {
-		if req.Scale < 1 || req.Scale&(req.Scale-1) != 0 {
-			return nil, fmt.Errorf("scale %d must be a power of two", req.Scale)
-		}
 		cfg.Scale = req.Scale
 	}
 	if req.Warmup != 0 {
 		cfg.Warmup = req.Warmup
 	}
 	if req.Measure != 0 {
-		if req.Measure < 1 {
-			return nil, fmt.Errorf("measure %d must be >= 1", req.Measure)
-		}
 		cfg.Measure = req.Measure
 	}
 	if req.Seed != 0 {
@@ -601,11 +462,9 @@ func (s *Server) buildJob(ctx context.Context, req runRequest) (*job, error) {
 	if req.Fidelity != "" {
 		cfg.Fidelity = req.Fidelity
 	}
-	fid, err := canonFidelity(cfg.Fidelity)
-	if err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
-	cfg.Fidelity = fid
 	timeout := s.cfg.CellTimeout
 	if req.TimeoutMS > 0 {
 		if d := time.Duration(req.TimeoutMS) * time.Millisecond; timeout == 0 || d < timeout {
@@ -619,88 +478,21 @@ func (s *Server) buildJob(ctx context.Context, req runRequest) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &job{ctx: ctx, r: r, events: make(chan event, 4), fanout: 1}
+	j := &job{ctx: ctx, r: r, events: make(chan event, 4)}
 	if req.Experiment != "" {
 		d, err := experiments.ExperimentByName(req.Experiment)
 		if err != nil {
 			return nil, err
 		}
 		j.desc, j.isExp = d, true
-		if s.fleet != nil {
-			// A coordinator fans an experiment's plan out across the fleet
-			// instead of walking it serially; two in flight per worker
-			// keeps every shard busy while its queue stays shallow.
-			j.fanout = 2 * len(s.fleet.workers)
-		}
 		return j, nil
 	}
-	if req.CellSpec != nil {
-		c := *req.CellSpec
-		if c.Platform == "" {
-			c.Platform = "xeon"
-		}
-		if c.Cores == 0 {
-			c.Cores = 8
-		}
-		if err := validateCell(c); err != nil {
-			return nil, err
-		}
-		j.cell = c
-		return j, nil
-	}
-	if req.Alloc == "" || req.Workload == "" && !req.Ruby {
-		return nil, errors.New(`request needs "experiment", "cell", or "alloc"+"workload"`)
-	}
-	if req.Platform == "" {
-		req.Platform = "xeon"
-	}
-	if req.Cores == 0 {
-		req.Cores = 8
-	}
-	if req.Workload == "" && req.Ruby {
-		req.Workload = workload.Rails().Name
-	}
-	restart := 0
-	if req.Ruby {
-		restart = r.RubyRestartPeriod(req.RestartEvery)
-	}
-	c := experiments.Cell{
-		Platform: req.Platform, Alloc: req.Alloc, Workload: req.Workload,
-		Cores: req.Cores, Ruby: req.Ruby, RestartEvery: restart,
-		MemSched: req.MemSched,
-	}
-	if err := validateCell(c); err != nil {
+	c, err := r.Resolve(req.CellSpec)
+	if err != nil {
 		return nil, err
 	}
 	j.cell = c
 	return j, nil
-}
-
-// validateCell rejects cells naming unknown platforms, workloads,
-// allocators, or scheduling policies — before admission, so a bad request
-// costs a 400, never a queue slot.
-func validateCell(c experiments.Cell) error {
-	if c.Alloc == "" || c.Workload == "" {
-		return errors.New(`cell needs "alloc" and "workload"`)
-	}
-	if c.Cores < 1 {
-		return fmt.Errorf("cores %d must be >= 1", c.Cores)
-	}
-	if _, err := machine.PlatformByName(c.Platform); err != nil {
-		return err
-	}
-	if _, err := workload.ByName(c.Workload); err != nil {
-		return err
-	}
-	if _, err := apprt.AllocCodeSize(c.Alloc); err != nil {
-		return err
-	}
-	if c.MemSched != "" {
-		if _, err := memsys.PolicyByName(memsys.PolicyName(c.MemSched)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // pressureLevel is the current rung of the admission ladder; Nominal
@@ -874,17 +666,12 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprint(w, `webmm experiment service
 
-POST /run          {"platform":"xeon","alloc":"ddmalloc","workload":"phpBB","cores":8}
-                   {"experiment":"fig1","scale":64}
-                   {"cell":{...}} (verbatim cell; used by fleet coordinators)
-                   -> NDJSON progress stream (queued, running, cell..., result|done)
-GET  /cache/{key}  fleet-shared cell result store (also PUT, DELETE; 503 without a cache)
-GET  /metrics      Prometheus text exposition of the shared telemetry registry
-GET  /healthz      queue and worker status
-
-Started with -workers, this instance is a fleet coordinator: it plans
-experiments locally and executes every cell remotely, with request
-coalescing, failover, and hedged retries.
+POST /run      {"platform":"xeon","alloc":"ddmalloc","workload":"phpBB","cores":8}
+               {"alloc":"glibc","ruby":true,"restart_every":500,"cores":8}
+               {"experiment":"fig1","scale":64}
+               -> NDJSON progress stream (queued, running, cell..., result|done)
+GET  /metrics  Prometheus text exposition of the shared telemetry registry
+GET  /healthz  queue and worker status
 `)
 }
 

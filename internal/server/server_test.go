@@ -294,6 +294,12 @@ func TestServeExperimentStreamsProgress(t *testing.T) {
 // TestServeBadRequests: malformed and invalid bodies are 400s that never
 // consume a queue slot.
 func TestServeBadRequests(t *testing.T) {
+	for _, sim := range []experiments.Config{{Scale: 3}, {Measure: -1}, {Fidelity: "exact"}} {
+		if s, err := New(Config{Jobs: 1, Sim: sim}); err == nil {
+			s.Close()
+			t.Errorf("New accepted the default config %+v", sim)
+		}
+	}
 	s, err := New(Config{Jobs: 1, Sim: testSim()})
 	if err != nil {
 		t.Fatal(err)
@@ -302,24 +308,38 @@ func TestServeBadRequests(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for _, body := range []string{
-		`{`,
-		`{"experiment":"nonsense"}`,
-		`{"alloc":"default"}`,
-		`{"alloc":"no-such","workload":"phpBB"}`,
-		`{"platform":"vax","alloc":"default","workload":"phpBB"}`,
-		`{"alloc":"default","workload":"phpBB","scale":3}`,
-		`{"alloc":"default","workload":"phpBB","faults":"frobnicate:1"}`,
-		`{"alloc":"default","workload":"phpBB","memsched":"fifo"}`,
-		`{"alloc":"default","workload":"phpBB","unknown_field":1}`,
+	// Each body is rejected for the reason named beside it, before
+	// admission: config through experiments.Config.Check, cells through
+	// Runner.Resolve.
+	for _, tc := range []struct{ body, reason string }{
+		{`{`, "bad request body"},
+		{`{"experiment":"nonsense"}`, "nonsense"},
+		{`{"alloc":"default","cores":1}`, `needs "alloc" and "workload"`},
+		{`{"alloc":"no-such","workload":"phpBB","cores":1}`, "no-such"},
+		{`{"platform":"vax","alloc":"default","workload":"phpBB","cores":1}`, "vax"},
+		{`{"alloc":"default","workload":"phpBB"}`, "cores 0 out of range 1..8"},
+		{`{"platform":"xeon","alloc":"ddmalloc","workload":"phpBB","cores":16}`, "cores 16 out of range 1..8"},
+		{`{"alloc":"default","workload":"phpBB","cores":1,"scale":3}`, "scale 3 must be a power of two"},
+		{`{"alloc":"default","workload":"phpBB","cores":1,"measure":-1}`, "measure -1 must be >= 1"},
+		{`{"alloc":"default","workload":"phpBB","cores":1,"warmup":-1}`, "warmup -1"},
+		{`{"alloc":"default","workload":"phpBB","cores":1,"fidelity":"exact"}`, `unknown fidelity "exact"`},
+		{`{"alloc":"default","workload":"phpBB","cores":1,"faults":"frobnicate:1"}`, "frobnicate"},
+		{`{"alloc":"default","workload":"phpBB","cores":1,"memsched":"fifo"}`, "fifo"},
+		{`{"alloc":"default","workload":"phpBB","cores":1,"unknown_field":1}`, "unknown_field"},
+		{`{"cell":{"Platform":"xeon","Alloc":"ddmalloc","Workload":"phpBB","Cores":1}}`, `unknown field "cell"`},
 	} {
-		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var e struct{ Error string }
+		derr := json.NewDecoder(resp.Body).Decode(&e)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("body %s: status %d, want 400", body, resp.StatusCode)
+			t.Errorf("body %s: status %d, want 400", tc.body, resp.StatusCode)
+		}
+		if derr != nil || !strings.Contains(e.Error, tc.reason) {
+			t.Errorf("body %s: error %q (%v), want one naming %q", tc.body, e.Error, derr, tc.reason)
 		}
 	}
 	if got := s.accepted.Load(); got != 0 {
@@ -337,7 +357,7 @@ func TestServeBadRequests(t *testing.T) {
 
 // TestServeMemSched: a request naming a DRAM scheduling policy runs the cell
 // over the banked memory model and its result carries the DRAM stats; the
-// same cell without the field stays on the bus (nil stats).
+// same cell without the field, or with "bus", stays on the bus (nil stats).
 func TestServeMemSched(t *testing.T) {
 	s, err := New(Config{Jobs: 1, Sim: testSim()})
 	if err != nil {
@@ -364,8 +384,19 @@ func TestServeMemSched(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if bus := resultOf(t, lines); bus.Res.Mem != nil {
-		t.Fatalf("bus cell carries memory-system stats: %+v", bus.Res.Mem)
+	bus := resultOf(t, lines)
+	if bus.Failed || bus.Res.Mem != nil {
+		t.Fatalf("bus cell failed or carries memory-system stats: %+v", bus.Res.Mem)
+	}
+
+	// "bus" names the paper's bus model explicitly: the same cell, served
+	// from the memo.
+	code, lines = postRun(t, ts.URL, `{"alloc":"ddmalloc","workload":"phpBB","cores":2,"memsched":"bus"}`)
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	if named := resultOf(t, lines); !reflect.DeepEqual(named, bus) {
+		t.Fatalf("memsched \"bus\" result %+v differs from the bus cell %+v", named, bus)
 	}
 }
 

@@ -385,13 +385,7 @@ func WithMemSchedPolicy(name MemSchedPolicyName) StudyOption {
 // WithScale sets the workload scale divisor (a power of two; 1 is paper
 // scale, larger is faster and coarser). The default is 32.
 func WithScale(scale int) StudyOption {
-	return func(c *studyConfig) error {
-		if scale < 1 || scale&(scale-1) != 0 {
-			return fmt.Errorf("webmm: scale %d must be a power of two", scale)
-		}
-		c.cfg.Scale = scale
-		return nil
-	}
+	return func(c *studyConfig) error { c.cfg.Scale = scale; return nil }
 }
 
 // WithSeed sets the seed all simulation randomness derives from.
@@ -399,15 +393,10 @@ func WithSeed(seed uint64) StudyOption {
 	return func(c *studyConfig) error { c.cfg.Seed = seed; return nil }
 }
 
-// WithRounds sets warmup and measured transactions per stream.
+// WithRounds sets warmup (>= 0) and measured (>= 1) transactions per
+// stream.
 func WithRounds(warmup, measure int) StudyOption {
-	return func(c *studyConfig) error {
-		if warmup < 0 || measure < 1 {
-			return fmt.Errorf("webmm: invalid rounds warmup=%d measure=%d", warmup, measure)
-		}
-		c.cfg.Warmup, c.cfg.Measure = warmup, measure
-		return nil
-	}
+	return func(c *studyConfig) error { c.cfg.Warmup, c.cfg.Measure = warmup, measure; return nil }
 }
 
 // WithJobs sets the worker count for experiment cell fan-out (1 = serial;
@@ -454,16 +443,7 @@ func WithContext(ctx context.Context) StudyOption {
 // accurate to within a couple of percent; they are cache-keyed separately
 // from full runs, so the two modes never serve each other stale results.
 func WithFidelity(name string) StudyOption {
-	return func(c *studyConfig) error {
-		switch name {
-		case "", experiments.FidelityFull, experiments.FidelitySampled:
-			c.cfg.Fidelity = name
-			return nil
-		default:
-			return fmt.Errorf("webmm: unknown fidelity %q (want %q or %q)",
-				name, experiments.FidelityFull, experiments.FidelitySampled)
-		}
-	}
+	return func(c *studyConfig) error { c.cfg.Fidelity = name; return nil }
 }
 
 // WithXeonLargePages enables DDmalloc's large-page optimization on Xeon
@@ -515,6 +495,9 @@ func NewStudy(opts ...StudyOption) (*Study, error) {
 			return nil, err
 		}
 	}
+	if err := c.cfg.Check(); err != nil {
+		return nil, fmt.Errorf("webmm: %w", err)
+	}
 	r := experiments.NewRunner(c.cfg)
 	if c.cacheDir != "" {
 		cache, err := experiments.NewCellCache(c.cacheDir)
@@ -550,13 +533,16 @@ func NewStudy(opts ...StudyOption) (*Study, error) {
 	return s, nil
 }
 
-// CellSpec selects one simulation cell. Platform defaults to the study's
-// platform and Cores to 8 (the paper's headline core count).
+// CellSpec selects one simulation cell; Study.Cell resolves it exactly as
+// the CLI's -exp cell and serve's POST /run resolve theirs.
 type CellSpec struct {
+	// Platform defaults to the study's platform (WithPlatform).
 	Platform string
 	Alloc    AllocatorName
+	// Workload defaults to Rails for a Ruby cell.
 	Workload string
-	Cores    int
+	// Cores must lie in 1..8 (the paper's headline count is 8).
+	Cores int
 	// Ruby selects the Ruby runtime (long-lived processes, no freeAll);
 	// RestartEvery is its restart period in the paper's full-scale
 	// transactions (0 = never restart) — the study rescales it like the
@@ -586,38 +572,24 @@ type CellOutcome struct {
 	Calls AllocStats
 }
 
-// Cell simulates one cell (memoized within the study). A cell whose
-// simulation fails — panic, timeout, configuration error — is surfaced as
-// an error rather than zeros.
+// Cell simulates one cell (memoized within the study). A spec that names
+// an unknown platform, allocator, workload or policy, or cores outside
+// 1..8, is an error before any simulation; a cell whose simulation fails —
+// panic, timeout — is surfaced as an error rather than zeros.
 func (s *Study) Cell(spec CellSpec) (CellOutcome, error) {
 	if spec.Platform == "" {
 		spec.Platform = s.platform
 	}
-	if spec.Cores == 0 {
-		spec.Cores = 8
+	if spec.MemSched == "" {
+		spec.MemSched = s.memsched
 	}
-	if spec.Workload == "" && spec.Ruby {
-		spec.Workload = workload.Rails().Name
-	}
-	restart := 0
-	if spec.Ruby {
-		restart = s.r.RubyRestartPeriod(spec.RestartEvery)
-	}
-	memsched := spec.MemSched
-	switch memsched {
-	case "":
-		memsched = s.memsched
-	case "bus":
-		memsched = ""
-	default:
-		if _, err := memsys.PolicyByName(memsys.PolicyName(memsched)); err != nil {
-			return CellOutcome{}, err
-		}
-	}
-	cell := experiments.Cell{
+	cell, err := s.r.Resolve(experiments.CellSpec{
 		Platform: spec.Platform, Alloc: string(spec.Alloc), Workload: spec.Workload,
-		Cores: spec.Cores, Ruby: spec.Ruby, RestartEvery: restart,
-		Budget: spec.Budget, MemSched: memsched,
+		Cores: spec.Cores, Ruby: spec.Ruby, RestartEvery: spec.RestartEvery,
+		Budget: spec.Budget, MemSched: spec.MemSched,
+	})
+	if err != nil {
+		return CellOutcome{}, fmt.Errorf("webmm: %w", err)
 	}
 	cr := s.r.Run(cell)
 	if cr.Failed {

@@ -127,6 +127,9 @@ func TestStudyOptionValidation(t *testing.T) {
 	if _, err := webmm.NewStudy(webmm.WithRounds(0, 0)); err == nil {
 		t.Error("WithRounds(0,0) accepted; want at least one measured round")
 	}
+	if _, err := webmm.NewStudy(webmm.WithFidelity("exact")); err == nil {
+		t.Error(`WithFidelity("exact") accepted; want unknown-fidelity error`)
+	}
 	if _, err := webmm.NewStudy(webmm.WithMemorySystem("hbm")); err == nil {
 		t.Error("WithMemorySystem(hbm) accepted; want unknown-memory-system error")
 	}
@@ -172,6 +175,18 @@ func TestStudyMemSchedCell(t *testing.T) {
 	spec.MemSched = "fifo"
 	if _, err := study.Cell(spec); err == nil {
 		t.Error("Cell with unknown policy accepted; want registry error")
+	}
+
+	// Core counts outside the platform's 1..8 are errors, not failed cells.
+	spec.MemSched = ""
+	for _, cores := range []int{0, 9, 16} {
+		spec.Cores = cores
+		if _, err := study.Cell(spec); err == nil {
+			t.Errorf("Cell with %d cores accepted; want out-of-range error", cores)
+		}
+	}
+	if fails := study.Failures(); len(fails) != 0 {
+		t.Errorf("rejected specs reached the simulator: %v", fails)
 	}
 
 	if got := webmm.MemSchedPolicies(); len(got) != 4 || got[0].Name != webmm.MemSchedFRFCFS {
