@@ -114,10 +114,12 @@ func TestDisconnectFreesWorkerAndGoroutines(t *testing.T) {
 
 	baseline := runtime.NumGoroutine()
 
-	// Eight Xeon cores for 100000 measured transactions per stream would
-	// simulate for many minutes; the test only ever sees its first rounds.
+	// Eight Xeon cores for 3000 measured transactions per stream simulate
+	// for tens of seconds; a cancelled cell stops within its first rounds.
+	// Were the cell not cancelled, it would either still hold the worker at
+	// the deadline below or finish with no cancellation recorded.
 	ctx, cancel := context.WithCancel(context.Background())
-	body := `{"platform":"xeon","alloc":"ddmalloc","workload":"phpBB","cores":8,"measure":100000}`
+	body := `{"platform":"xeon","alloc":"ddmalloc","workload":"phpBB","cores":8,"measure":3000}`
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/run",
 		strings.NewReader(body))
 	if err != nil {

@@ -32,9 +32,10 @@ import (
 	"webmm/internal/telemetry"
 )
 
-// Config configures a Server. The zero value is usable: it listens on a
-// random localhost port with GOMAXPROCS workers, a 2×workers queue, the
-// default simulation configuration, and no cell cache.
+// Config configures a Server. Apart from Sim, which must pass
+// experiments.Config.Check, the zero value is usable: it listens on a
+// random localhost port with GOMAXPROCS workers, a 2×workers queue, and no
+// cell cache.
 type Config struct {
 	// Addr is the listen address for ListenAndServe ("host:port";
 	// ":0" picks a free port). Default "127.0.0.1:0".
@@ -47,8 +48,7 @@ type Config struct {
 	// Default 2×Jobs.
 	QueueDepth int
 	// Sim is the default simulation configuration; requests may override
-	// scale/warmup/measure/seed per call. Zero fields are filled from
-	// experiments.DefaultConfig.
+	// scale/warmup/measure/seed/fidelity per call.
 	Sim experiments.Config
 	// CacheDir, when non-empty, is the on-disk cell cache shared by every
 	// runner the server creates: a cell simulated for one request (or by
@@ -148,16 +148,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.EventWriteTimeout <= 0 {
 		cfg.EventWriteTimeout = 30 * time.Second
-	}
-	def := experiments.DefaultConfig()
-	if cfg.Sim.Scale == 0 {
-		cfg.Sim.Scale = def.Scale
-	}
-	if cfg.Sim.Measure == 0 {
-		cfg.Sim.Warmup, cfg.Sim.Measure = def.Warmup, def.Measure
-	}
-	if cfg.Sim.Seed == 0 {
-		cfg.Sim.Seed = def.Seed
 	}
 	if err := cfg.Sim.Check(); err != nil {
 		return nil, fmt.Errorf("server: %w", err)

@@ -294,7 +294,10 @@ func TestServeExperimentStreamsProgress(t *testing.T) {
 // TestServeBadRequests: malformed and invalid bodies are 400s that never
 // consume a queue slot.
 func TestServeBadRequests(t *testing.T) {
-	for _, sim := range []experiments.Config{{Scale: 3}, {Measure: -1}, {Fidelity: "exact"}} {
+	// The server's own default config takes the same check.
+	for _, sim := range []experiments.Config{
+		{Scale: 3, Measure: 1}, {Scale: 64, Measure: 0}, {Scale: 64, Measure: 1, Fidelity: "exact"},
+	} {
 		if s, err := New(Config{Jobs: 1, Sim: sim}); err == nil {
 			s.Close()
 			t.Errorf("New accepted the default config %+v", sim)
