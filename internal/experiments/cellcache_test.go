@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -36,38 +37,122 @@ func plant(t *testing.T, cc *CellCache, e cellEntry) string {
 	return path
 }
 
-// TestCellCacheVersionMismatchSelfHeals: an otherwise valid entry claiming
-// another format version at the current key (a hash collision across
-// versions, or a corrupted version field) is never served, and is deleted.
-func TestCellCacheVersionMismatchSelfHeals(t *testing.T) {
-	cc, cfg, cell, res := cacheFixture(t)
-	path := plant(t, cc, cellEntry{Version: cellCacheVersion + 1, Cfg: cfg, Cell: cell, Result: res})
-	if _, ok := cc.load(cfg, cell); ok {
-		t.Fatal("stale-version entry served")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("stale-version entry not self-healed away")
-	}
+// onDisk runs one cache guarantee as a "disk" subtest on a fresh
+// disk-backed CellCache, the store every cache directory uses.
+func onDisk(t *testing.T, fn func(t *testing.T, cc *CellCache, cfg Config, cell Cell, res CellResult)) {
+	t.Helper()
+	t.Run("disk", func(t *testing.T) {
+		cc, cfg, cell, res := cacheFixture(t)
+		fn(t, cc, cfg, cell, res)
+	})
 }
 
-// TestCellCacheRejectsFailedResults: a failure can be environmental, so a
+// TestCacheBackendRoundtrip: a stored entry loads back deep-equal, is
+// addressed by (version, Config, Cell) rather than the cell alone, and
+// misses once its file is gone.
+func TestCacheBackendRoundtrip(t *testing.T) {
+	onDisk(t, func(t *testing.T, cc *CellCache, cfg Config, cell Cell, res CellResult) {
+		if _, ok := cc.load(cfg, cell); ok {
+			t.Fatal("empty cache reported a hit")
+		}
+		cc.store(cfg, cell, res)
+		got, ok := cc.load(cfg, cell)
+		if !ok {
+			t.Fatal("stored entry missed")
+		}
+		if !reflect.DeepEqual(got, res) {
+			t.Fatalf("loaded %+v, stored %+v", got, res)
+		}
+		other := cfg
+		other.Seed++
+		if _, ok := cc.load(other, cell); ok {
+			t.Fatal("entry for a different config hit")
+		}
+		if err := os.Remove(cc.path(cfg, cell)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := cc.load(cfg, cell); ok {
+			t.Fatal("deleted entry still hit")
+		}
+	})
+}
+
+// TestCacheBackendVersionMismatchSelfHeals: an otherwise valid entry
+// claiming another format version at the current key (a hash collision
+// across versions, or a corrupted version field) is never served, and is
+// deleted.
+func TestCacheBackendVersionMismatchSelfHeals(t *testing.T) {
+	onDisk(t, func(t *testing.T, cc *CellCache, cfg Config, cell Cell, res CellResult) {
+		path := plant(t, cc, cellEntry{Version: cellCacheVersion + 1, Cfg: cfg, Cell: cell, Result: res})
+		if _, ok := cc.load(cfg, cell); ok {
+			t.Fatal("stale-version entry served")
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatal("stale-version entry not self-healed away")
+		}
+	})
+}
+
+// TestCacheBackendCorruptEntrySelfHeals: a truncated entry is never served,
+// and is deleted.
+func TestCacheBackendCorruptEntrySelfHeals(t *testing.T) {
+	onDisk(t, func(t *testing.T, cc *CellCache, cfg Config, cell Cell, _ CellResult) {
+		cc.storeCorrupt(cfg, cell)
+		path := cc.path(cfg, cell)
+		if _, err := os.Stat(path); err != nil {
+			t.Fatal("corrupt entry was not written")
+		}
+		if _, ok := cc.load(cfg, cell); ok {
+			t.Fatal("corrupt entry served")
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatal("corrupt entry not self-healed away")
+		}
+	})
+}
+
+// TestCacheBackendRejectsFailedResults: a failure can be environmental, so a
 // Failed result is refused at store time, and a Failed entry planted by
 // another writer is rejected on load and deleted.
-func TestCellCacheRejectsFailedResults(t *testing.T) {
-	cc, cfg, cell, res := cacheFixture(t)
-	res.Failed = true
-	cc.store(cfg, cell, res)
-	path := cc.path(cfg, cell)
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("Failed result was stored")
-	}
-	plant(t, cc, cellEntry{Version: cellCacheVersion, Cfg: cfg, Cell: cell, Result: res})
-	if _, ok := cc.load(cfg, cell); ok {
-		t.Fatal("Failed entry served")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("Failed entry not self-healed away")
-	}
+func TestCacheBackendRejectsFailedResults(t *testing.T) {
+	onDisk(t, func(t *testing.T, cc *CellCache, cfg Config, cell Cell, res CellResult) {
+		res.Failed = true
+		cc.store(cfg, cell, res)
+		path := cc.path(cfg, cell)
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatal("Failed result was stored")
+		}
+		plant(t, cc, cellEntry{Version: cellCacheVersion, Cfg: cfg, Cell: cell, Result: res})
+		if _, ok := cc.load(cfg, cell); ok {
+			t.Fatal("Failed entry served")
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatal("Failed entry not self-healed away")
+		}
+	})
+}
+
+// TestCacheBackendConcurrentStore: concurrent stores of one cell leave one
+// complete entry that loads back deep-equal.
+func TestCacheBackendConcurrentStore(t *testing.T) {
+	onDisk(t, func(t *testing.T, cc *CellCache, cfg Config, cell Cell, res CellResult) {
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cc.store(cfg, cell, res)
+			}()
+		}
+		wg.Wait()
+		got, ok := cc.load(cfg, cell)
+		if !ok {
+			t.Fatal("entry missing after concurrent stores")
+		}
+		if !reflect.DeepEqual(got, res) {
+			t.Fatalf("loaded %+v after concurrent stores, want %+v", got, res)
+		}
+	})
 }
 
 // TestDiskLayoutUnchanged pins the on-disk format: dir/<key>.json holding
