@@ -89,13 +89,19 @@ func fingerprintCases() []struct {
 		{sampled, phpCell("xeon", "ddmalloc", workload.PhpBB().Name, 2)},
 		{golden, Cell{Platform: "xeon", Alloc: "ddmalloc", Workload: workload.PhpBB().Name,
 			Cores: 2, Budget: 128 << 20}},
+		{golden, Cell{Platform: "xeon", Alloc: "region", Workload: workload.MediaWikiRW().Name,
+			Cores: 2, MemSched: "atlas"}},
+		{golden, Cell{Platform: "xeon", Alloc: "region", Workload: workload.MediaWikiRW().Name,
+			Cores: 2, MemSched: "tcm"}},
+		{golden, Cell{Platform: "xeon", Alloc: "region", Workload: workload.MediaWikiRW().Name,
+			Cores: 2, MemSched: "bliss"}},
 	}
 }
 
 // TestCellFingerprint ties full CellResults — every counter, not just the
 // rendered columns — to the cell-cache format version, one cell per cached
-// path: PHP on both platforms, Ruby with restarts, the DRAM model, sampled
-// fidelity and a static budget. Each line of the committed file records
+// path: PHP on both platforms, Ruby with restarts, the DRAM model under
+// each scheduling policy, sampled fidelity and a static budget. Each line of the committed file records
 // "v<cellCacheVersion> <sha256 of the result JSON>" plus a label; if a
 // change moves any number in any result, this fails until the author both
 // bumps cellCacheVersion (so stale disk caches cannot serve the old
