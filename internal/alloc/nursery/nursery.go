@@ -33,12 +33,12 @@ import (
 )
 
 const (
-	costAlloc    = 6   // bump + class-free allocation
-	costGCFixed  = 400 // collection setup/scan bookkeeping
-	costPerCopy  = 24  // per surviving object: copy loop overhead
-	costDeath    = 2   // death note (reference drop)
-	oldGenChunk  = 4 * mem.MiB
-	codeSize     = 6 * mem.KiB
+	costAlloc   = 6   // bump + class-free allocation
+	costGCFixed = 400 // collection setup/scan bookkeeping
+	costPerCopy = 24  // per surviving object: copy loop overhead
+	costDeath   = 2   // death note (reference drop)
+	oldGenChunk = 4 * mem.MiB
+	codeSize    = 6 * mem.KiB
 )
 
 // Allocator is the copying-nursery model. It implements heap.Allocator,

@@ -43,14 +43,14 @@ const (
 
 	numBins = 64 // size-binned free lists: 8-byte classes then log2
 
-	costBump     = 7  // bump-mode allocation
-	costBinHit   = 22 // free-list allocation (search + unlink)
-	costSplit    = 18
-	costFree     = 26 // Lea-style free: header + bin insertion
-	costBinHop   = 6
-	costFreeAll  = 30
-	costHuge     = 60
-	codeSize     = 18 * mem.KiB
+	costBump    = 7  // bump-mode allocation
+	costBinHit  = 22 // free-list allocation (search + unlink)
+	costSplit   = 18
+	costFree    = 26 // Lea-style free: header + bin insertion
+	costBinHop  = 6
+	costFreeAll = 30
+	costHuge    = 60
+	codeSize    = 18 * mem.KiB
 )
 
 type object struct {
@@ -67,11 +67,11 @@ type Allocator struct {
 
 	// bins hold freed objects by size class; binArr is the simulated
 	// address of the bin-head array.
-	bins    [numBins][]object
-	binArr  mem.Addr
-	binned  int
-	byAddr  map[mem.Addr]uint64 // live payload -> rounded size
-	huge    map[mem.Addr]mem.Mapping
+	bins   [numBins][]object
+	binArr mem.Addr
+	binned int
+	byAddr map[mem.Addr]uint64 // live payload -> rounded size
+	huge   map[mem.Addr]mem.Mapping
 
 	txnAllocated uint64
 	peakTxn      uint64

@@ -15,7 +15,7 @@ const (
 	SmallCutoff = 128
 	MidCutoff   = 512
 
-	numSmall = SmallCutoff / 8             // classes 8,16,...,128
+	numSmall = SmallCutoff / 8                // classes 8,16,...,128
 	numMid   = (MidCutoff - SmallCutoff) / 32 // classes 160,192,...,512
 
 	// NumClasses is the total number of size classes for a 32 KiB

@@ -169,9 +169,9 @@ func (m *Machine) Solve() Result {
 	}
 
 	res := Result{
-		Platform:   p.Name,
-		Cores:      m.NCores,
-		Threads:    len(m.streams),
+		Platform:    p.Name,
+		Cores:       m.NCores,
+		Threads:     len(m.streams),
 		Txns:        totalTxns,
 		WallCycles:  wall,
 		BusUtil:     math.Min(util, msys.Link().MaxUtil),

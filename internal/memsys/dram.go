@@ -272,18 +272,18 @@ func (d *DRAM) finalize() {
 	}
 
 	s := &Stats{
-		Model:        "dram",
-		Policy:       string(d.cfg.Policy),
-		Banks:        len(d.banks),
-		Reads:        d.reads,
-		Writebacks:   d.writebacks,
-		Prefetches:   d.prefetches,
-		RowHits:      d.hits,
-		RowClosed:    d.closed,
-		RowConflicts: d.conflicts,
+		Model:         "dram",
+		Policy:        string(d.cfg.Policy),
+		Banks:         len(d.banks),
+		Reads:         d.reads,
+		Writebacks:    d.writebacks,
+		Prefetches:    d.prefetches,
+		RowHits:       d.hits,
+		RowClosed:     d.closed,
+		RowConflicts:  d.conflicts,
 		MaxQueueDepth: d.maxQueue,
-		RowFactor:    d.rowFactor,
-		CoreFactors:  d.coreFactors,
+		RowFactor:     d.rowFactor,
+		CoreFactors:   d.coreFactors,
 	}
 	if d.queueSamples > 0 {
 		s.AvgQueueDepth = float64(d.queueSum) / float64(d.queueSamples)

@@ -97,10 +97,10 @@ type Bus struct {
 // NewBus wraps a bus model as the default memory system.
 func NewBus(link bus.Model) Bus { return Bus{link: link} }
 
-func (b Bus) Name() string        { return "bus" }
-func (b Bus) Recorder() Recorder  { return nil }
-func (b Bus) Link() bus.Model     { return b.link }
-func (b Bus) Stats() *Stats       { return nil }
+func (b Bus) Name() string                { return "bus" }
+func (b Bus) Recorder() Recorder          { return nil }
+func (b Bus) Link() bus.Model             { return b.link }
+func (b Bus) Stats() *Stats               { return nil }
 func (b Bus) CoreFactor(core int) float64 { return 1 }
 
 func (b Bus) Utilization(busTxns uint64, wallCycles float64) float64 {

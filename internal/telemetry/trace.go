@@ -72,11 +72,11 @@ func (t *Tracer) StartSpan(name, cat string) *Span {
 		return nil
 	}
 	return &Span{
-		tr:   t,
-		id:   t.nextSpan.Add(1),
-		tid:  t.nextTID.Add(1),
-		name: name,
-		cat:  cat,
+		tr:    t,
+		id:    t.nextSpan.Add(1),
+		tid:   t.nextTID.Add(1),
+		name:  name,
+		cat:   cat,
 		start: time.Now(),
 	}
 }
