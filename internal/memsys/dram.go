@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"fmt"
+	"math/bits"
 
 	"webmm/internal/bus"
 	"webmm/internal/mem"
@@ -12,7 +13,8 @@ import (
 // Policy.
 type DRAMConfig struct {
 	// Geometry: Channels × RanksPerChannel × BanksPerRank independent
-	// banks, each with one row buffer of RowBytes.
+	// banks, each with one row buffer of RowBytes. All four must be powers
+	// of two, so the address map is shifts and masks.
 	Channels        int
 	RanksPerChannel int
 	BanksPerRank    int
@@ -21,6 +23,7 @@ type DRAMConfig struct {
 	// Window is the per-bank queue depth at which pending requests are
 	// scheduled and replayed. Larger windows give the policy more
 	// reordering freedom; 1 degenerates to FCFS regardless of policy.
+	// At most maxWindow.
 	Window int
 
 	// Policy names the scheduling policy (DefaultPolicy when empty).
@@ -54,8 +57,14 @@ var defaultDRAMConfig = DRAMConfig{
 // rowClosed marks a precharged bank (no open row).
 const rowClosed int64 = -1
 
+// maxWindow bounds the scheduling window, since every bank preallocates
+// its queue to the window: 4096 requests is two orders of magnitude past
+// a real controller's queue and costs 3 MiB over the default 32 banks.
+const maxWindow = 4096
+
 // bank is one DRAM bank: its open row and its pending request queue
-// (arrival-ordered; scheduled in windows).
+// (arrival-ordered when a window starts; preallocated to the window, and
+// emptied by every service, so appends never grow it).
 type bank struct {
 	openRow int64
 	pending []request
@@ -79,10 +88,15 @@ type DRAM struct {
 	nCores int
 	sched  scheduler
 
-	banks           []bank
-	linesPerRow     uint64
-	banksPerChannel int
-	seq             uint64
+	banks []bank
+	seq   uint64
+
+	// Address map (see locate): line = row | bank-in-channel | row offset |
+	// channel, low bits last.
+	chanMask  uint64
+	lineShift uint // log2(Channels × lines per row)
+	bankShift uint // log2(banks per channel)
+	bankMask  uint64
 
 	// Accumulated over all serviced requests.
 	reads, writebacks, prefetches uint64
@@ -135,29 +149,43 @@ func NewDRAM(cfg DRAMConfig, link bus.Model, nCores int) (*DRAM, error) {
 	if _, err := PolicyByName(cfg.Policy); err != nil {
 		return nil, err
 	}
-	if cfg.RowBytes%mem.LineSize != 0 || cfg.RowBytes < mem.LineSize {
-		return nil, fmt.Errorf("memsys: row size %d not a multiple of the %d-byte line", cfg.RowBytes, mem.LineSize)
+	if !pow2(cfg.Channels) || !pow2(cfg.RanksPerChannel) || !pow2(cfg.BanksPerRank) {
+		return nil, fmt.Errorf("memsys: %d channels × %d ranks × %d banks: every count must be a power of two",
+			cfg.Channels, cfg.RanksPerChannel, cfg.BanksPerRank)
+	}
+	if cfg.RowBytes < mem.LineSize || !pow2(cfg.RowBytes) {
+		return nil, fmt.Errorf("memsys: row size %d is not a power of two of at least the %d-byte line", cfg.RowBytes, mem.LineSize)
+	}
+	if cfg.Window < 1 || cfg.Window > maxWindow {
+		return nil, fmt.Errorf("memsys: window %d out of range [1, %d]", cfg.Window, maxWindow)
 	}
 	if nCores < 1 {
 		return nil, fmt.Errorf("memsys: nCores %d out of range", nCores)
 	}
-	nBanks := cfg.Channels * cfg.RanksPerChannel * cfg.BanksPerRank
+	banksPerChannel := cfg.RanksPerChannel * cfg.BanksPerRank
+	nBanks := cfg.Channels * banksPerChannel
 	d := &DRAM{
-		cfg:             cfg,
-		link:            link,
-		nCores:          nCores,
-		sched:           newScheduler(cfg.Policy, nCores),
-		banks:           make([]bank, nBanks),
-		linesPerRow:     cfg.RowBytes / mem.LineSize,
-		banksPerChannel: cfg.RanksPerChannel * cfg.BanksPerRank,
-		coreScore:       make([]float64, nCores),
-		coreReqs:        make([]uint64, nCores),
+		cfg:       cfg,
+		link:      link,
+		nCores:    nCores,
+		sched:     newScheduler(cfg.Policy, nCores),
+		banks:     make([]bank, nBanks),
+		chanMask:  uint64(cfg.Channels - 1),
+		lineShift: uint(bits.TrailingZeros(uint(cfg.Channels)) + bits.TrailingZeros64(cfg.RowBytes/mem.LineSize)),
+		bankShift: uint(bits.TrailingZeros(uint(banksPerChannel))),
+		bankMask:  uint64(banksPerChannel - 1),
+		coreScore: make([]float64, nCores),
+		coreReqs:  make([]uint64, nCores),
 	}
+	queues := make([]request, nBanks*cfg.Window)
 	for i := range d.banks {
 		d.banks[i].openRow = rowClosed
+		d.banks[i].pending = queues[i*cfg.Window : i*cfg.Window : (i+1)*cfg.Window]
 	}
 	return d, nil
 }
+
+func pow2[T int | uint64](n T) bool { return n > 0 && n&(n-1) == 0 }
 
 func (d *DRAM) Name() string       { return "dram/" + string(d.cfg.Policy) }
 func (d *DRAM) Recorder() Recorder { return d }
@@ -174,11 +202,7 @@ func (d *DRAM) Record(line uint64, core int, kind Kind) {
 		// the frozen factors; the machine never does this.
 		panic("memsys: Record after finalize")
 	}
-	ch := int(line % uint64(d.cfg.Channels))
-	rowGlobal := line / uint64(d.cfg.Channels) / d.linesPerRow
-	bankID := ch*d.banksPerChannel + int(rowGlobal%uint64(d.banksPerChannel))
-	row := int64(rowGlobal / uint64(d.banksPerChannel))
-
+	bankID, row := d.locate(line)
 	b := &d.banks[bankID]
 	b.pending = append(b.pending, request{row: row, seq: d.seq, core: int32(core), kind: kind})
 	d.seq++
@@ -197,38 +221,41 @@ func (d *DRAM) Record(line uint64, core int, kind Kind) {
 		d.maxQueue = depth
 	}
 	if depth >= d.cfg.Window {
-		d.serviceWindow(b)
+		d.sched.serveWindow(d, b)
 	}
 }
 
-// serviceWindow drains one bank's pending queue under the scheduling
-// policy: repeatedly pick, classify against the open row, charge the
-// request its service factor plus the time already elapsed in the window
-// (bank-level queueing), and update the row buffer.
-func (d *DRAM) serviceWindow(b *bank) {
-	elapsed := 0.0
-	for len(b.pending) > 0 {
-		idx := d.sched.pick(b.pending, b.openRow)
-		r := b.pending[idx]
-		var units float64
-		switch {
-		case r.row == b.openRow:
-			units = d.cfg.HitFactor
-			d.hits++
-		case b.openRow == rowClosed:
-			units = d.cfg.ClosedFactor
-			d.closed++
-		default:
-			units = d.cfg.ConflictFactor
-			d.conflicts++
-		}
-		b.openRow = r.row
-		d.coreScore[r.core] += elapsed + units
-		d.coreReqs[r.core]++
-		elapsed += units
-		d.sched.served(r.core, units)
-		b.pending = append(b.pending[:idx], b.pending[idx+1:]...)
+// locate maps a line to its bank and row: channel = line mod Channels,
+// then rowGlobal = line / Channels / linesPerRow, bank-in-channel =
+// rowGlobal mod banksPerChannel and row = rowGlobal / banksPerChannel,
+// each a shift or mask because NewDRAM admits only powers of two.
+func (d *DRAM) locate(line uint64) (bankID int, row int64) {
+	rowGlobal := line >> d.lineShift
+	return int((line&d.chanMask)<<d.bankShift | rowGlobal&d.bankMask), int64(rowGlobal >> d.bankShift)
+}
+
+// service serves one request from bank b: classify it against the open
+// row, charge its core the service factor plus the time already elapsed
+// in the window (bank-level queueing), and open its row. It returns the
+// service factor, by which the caller advances elapsed. Every policy's
+// serveWindow drains a window through it.
+func (d *DRAM) service(b *bank, r request, elapsed float64) float64 {
+	var units float64
+	switch {
+	case r.row == b.openRow:
+		units = d.cfg.HitFactor
+		d.hits++
+	case b.openRow == rowClosed:
+		units = d.cfg.ClosedFactor
+		d.closed++
+	default:
+		units = d.cfg.ConflictFactor
+		d.conflicts++
 	}
+	b.openRow = r.row
+	d.coreScore[r.core] += elapsed + units
+	d.coreReqs[r.core]++
+	return units
 }
 
 // finalize flushes partial windows and freezes the derived factors. Called
@@ -241,7 +268,7 @@ func (d *DRAM) finalize() {
 	d.finalized = true
 	for i := range d.banks {
 		if len(d.banks[i].pending) > 0 {
-			d.serviceWindow(&d.banks[i])
+			d.sched.serveWindow(d, &d.banks[i])
 		}
 	}
 

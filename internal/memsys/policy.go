@@ -126,14 +126,14 @@ type request struct {
 	kind Kind
 }
 
-// scheduler orders one bank's pending window. pick returns the index (into
-// pending, which is in arrival order) of the request to service next given
-// the bank's open row (-1 = precharged); served notifies the scheduler of
-// the service so it can maintain per-core state. Implementations must be
-// deterministic: equal-priority ties always break to the oldest request.
+// scheduler serves one bank's pending window under a policy. serveWindow
+// drains b.pending (arrival-ordered on entry) through d.service in the
+// policy's order, updating the scheduler's per-core state as it goes, and
+// leaves the queue empty. Implementations must be deterministic: every
+// ordering rule ends on the request's unique seq, so the oldest request
+// wins every tie.
 type scheduler interface {
-	pick(pending []request, openRow int64) int
-	served(core int32, units float64)
+	serveWindow(d *DRAM, b *bank)
 }
 
 // newScheduler builds the named policy's scheduler for nCores cores. The
@@ -141,46 +141,92 @@ type scheduler interface {
 func newScheduler(name PolicyName, nCores int) scheduler {
 	switch name {
 	case PolicyFRFCFS:
-		return &frfcfs{}
+		return frfcfs{}
 	case PolicyATLAS:
 		return &atlas{attained: make([]float64, nCores)}
 	case PolicyTCM:
-		return &tcm{epochReqs: make([]uint64, nCores), bwHeavy: make([]bool, nCores)}
+		return &tcm{epochReqs: make([]uint64, nCores), rank: make([]float64, nCores)}
 	case PolicyBLISS:
-		return &bliss{blacklisted: make([]bool, nCores)}
+		return &bliss{rank: make([]float64, nCores)}
 	default:
 		panic(fmt.Sprintf("memsys: unregistered policy %q", name))
 	}
 }
 
-// pickBest scans pending for the request with the lowest key; ties break to
-// the earlier index, which is the older request (pending is arrival-ordered
-// and seq increases monotonically). key layers priorities: callers compose
-// (classPriority, !rowHit, seq) into a comparable triple via less().
-func pickBest(pending []request, less func(a, b int) bool) int {
-	best := 0
-	for i := 1; i < len(pending); i++ {
-		if less(i, best) {
-			best = i
-		}
-	}
-	return best
-}
-
 // frfcfs: row hits before row misses, oldest first within each class.
 type frfcfs struct{}
 
-func (f *frfcfs) pick(pending []request, openRow int64) int {
-	return pickBest(pending, func(a, b int) bool {
-		ha, hb := pending[a].row == openRow, pending[b].row == openRow
-		if ha != hb {
-			return ha
+// serveWindow serves the window by row groups, which is the FR-FCFS order
+// without a per-service scan: first every request on the open row, in
+// arrival order; then, until the window is empty, the oldest remaining
+// request opens its row and that row's requests follow in arrival order.
+// Each pass compacts the requests it skips in place, so the queue stays
+// arrival-ordered and a window costs O(W × rows) instead of O(W²).
+func (frfcfs) serveWindow(d *DRAM, b *bank) {
+	p := b.pending
+	row := b.openRow
+	elapsed := 0.0
+	for len(p) > 0 {
+		n := 0
+		for _, r := range p {
+			if r.row == row {
+				elapsed += d.service(b, r, elapsed)
+			} else {
+				p[n] = r
+				n++
+			}
 		}
-		return pending[a].seq < pending[b].seq
-	})
+		p = p[:n]
+		if n > 0 {
+			row = p[0].row
+		}
+	}
+	b.pending = p
 }
 
-func (f *frfcfs) served(core int32, units float64) {}
+// ranked is a policy that sorts cores into classes before row state:
+// requests of the core with the lowest rank go first, then row hits, then
+// the oldest. ranks returns the live per-core ranks, which served (called
+// after every service) may change, so a window is re-ranked per service.
+type ranked interface {
+	ranks() []float64
+	served(core int32, units float64)
+}
+
+// serveRanked drains a window under a ranked policy: scan for the best
+// request by (rank, !rowHit, seq), serve it, and fill its slot with the
+// last request. The swap breaks arrival order, which cannot change a pick
+// because seq is unique.
+func serveRanked(d *DRAM, b *bank, pol ranked) {
+	rank := pol.ranks()
+	p := b.pending
+	elapsed := 0.0
+	for len(p) > 0 {
+		open := b.openRow
+		best := 0
+		bestRank, bestHit, bestSeq := rank[p[0].core], p[0].row == open, p[0].seq
+		for i := 1; i < len(p); i++ {
+			x := &p[i]
+			r := rank[x.core]
+			if r > bestRank {
+				continue
+			}
+			hit := x.row == open
+			if r == bestRank && (bestHit && !hit || hit == bestHit && x.seq > bestSeq) {
+				continue
+			}
+			best, bestRank, bestHit, bestSeq = i, r, hit, x.seq
+		}
+		r := p[best]
+		units := d.service(b, r, elapsed)
+		elapsed += units
+		pol.served(r.core, units)
+		last := len(p) - 1
+		p[best] = p[last]
+		p = p[:last]
+	}
+	b.pending = p
+}
 
 // atlas: the core with the least attained service wins; within a core's
 // requests, FR-FCFS rules apply. (The real ATLAS ages service over long
@@ -190,49 +236,27 @@ type atlas struct {
 	attained []float64
 }
 
-func (a *atlas) pick(pending []request, openRow int64) int {
-	return pickBest(pending, func(x, y int) bool {
-		ax, ay := a.attained[pending[x].core], a.attained[pending[y].core]
-		if ax != ay {
-			return ax < ay
-		}
-		hx, hy := pending[x].row == openRow, pending[y].row == openRow
-		if hx != hy {
-			return hx
-		}
-		return pending[x].seq < pending[y].seq
-	})
-}
-
+func (a *atlas) serveWindow(d *DRAM, b *bank)     { serveRanked(d, b, a) }
+func (a *atlas) ranks() []float64                 { return a.attained }
 func (a *atlas) served(core int32, units float64) { a.attained[core] += units }
 
 // tcmEpoch is the service count between TCM re-clusterings.
 const tcmEpoch = 256
 
 // tcm: every epoch, cores whose demand exceeded the fair share are marked
-// bandwidth-intensive; latency-sensitive cores then beat them regardless of
-// row state. (The real TCM also shuffles rank among the bandwidth cluster to
-// spread slowdown; one rank order per epoch is deterministic and keeps the
-// clustering effect, which is what the solver can observe.)
+// bandwidth-intensive (rank 1); latency-sensitive cores (rank 0) then beat
+// them regardless of row state. (The real TCM also shuffles rank among the
+// bandwidth cluster to spread slowdown; one rank order per epoch is
+// deterministic and keeps the clustering effect, which is what the solver
+// can observe.)
 type tcm struct {
 	epochReqs []uint64
-	bwHeavy   []bool
+	rank      []float64
 	services  uint64
 }
 
-func (t *tcm) pick(pending []request, openRow int64) int {
-	return pickBest(pending, func(a, b int) bool {
-		ba, bb := t.bwHeavy[pending[a].core], t.bwHeavy[pending[b].core]
-		if ba != bb {
-			return !ba
-		}
-		ha, hb := pending[a].row == openRow, pending[b].row == openRow
-		if ha != hb {
-			return ha
-		}
-		return pending[a].seq < pending[b].seq
-	})
-}
+func (t *tcm) serveWindow(d *DRAM, b *bank) { serveRanked(d, b, t) }
+func (t *tcm) ranks() []float64             { return t.rank }
 
 func (t *tcm) served(core int32, units float64) {
 	t.epochReqs[core]++
@@ -254,7 +278,10 @@ func (t *tcm) served(core int32, units float64) {
 	}
 	fair := total / uint64(active)
 	for c, n := range t.epochReqs {
-		t.bwHeavy[c] = n > fair
+		t.rank[c] = 0
+		if n > fair {
+			t.rank[c] = 1
+		}
 		t.epochReqs[c] = 0
 	}
 }
@@ -267,43 +294,32 @@ const (
 	blissClear  = 512
 )
 
-// bliss: non-blacklisted cores beat blacklisted ones; FR-FCFS within each
-// group. A core that gets blissStreak consecutive services is blacklisted
-// until the periodic clear.
+// bliss: non-blacklisted cores (rank 0) beat blacklisted ones (rank 1);
+// FR-FCFS within each group. A core that gets blissStreak consecutive
+// services is blacklisted until the periodic clear.
 type bliss struct {
-	blacklisted []bool
-	streakCore  int32
-	streak      int
-	services    uint64
+	rank       []float64
+	streakCore int32
+	streak     int
+	services   uint64
 }
 
-func (b *bliss) pick(pending []request, openRow int64) int {
-	return pickBest(pending, func(x, y int) bool {
-		bx, by := b.blacklisted[pending[x].core], b.blacklisted[pending[y].core]
-		if bx != by {
-			return !bx
-		}
-		hx, hy := pending[x].row == openRow, pending[y].row == openRow
-		if hx != hy {
-			return hx
-		}
-		return pending[x].seq < pending[y].seq
-	})
-}
+func (b *bliss) serveWindow(d *DRAM, bk *bank) { serveRanked(d, bk, b) }
+func (b *bliss) ranks() []float64              { return b.rank }
 
 func (b *bliss) served(core int32, units float64) {
 	if core == b.streakCore {
 		b.streak++
 		if b.streak >= blissStreak {
-			b.blacklisted[core] = true
+			b.rank[core] = 1
 		}
 	} else {
 		b.streakCore, b.streak = core, 1
 	}
 	b.services++
 	if b.services%blissClear == 0 {
-		for c := range b.blacklisted {
-			b.blacklisted[c] = false
+		for c := range b.rank {
+			b.rank[c] = 0
 		}
 	}
 }
