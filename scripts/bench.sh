@@ -2,7 +2,7 @@
 # bench.sh — measure the committed hot-path benchmarks and regenerate
 # BENCH_fig1.json at the repository root.
 #
-# Usage: scripts/bench.sh [reps]
+# Usage: scripts/bench.sh [reps] [pre-commit]
 #
 # Four benchmarks are tracked:
 #   fig1_full    BenchmarkFig1Cell        single Figure-1 cell, full fidelity
@@ -16,31 +16,49 @@
 # every source of interference only ever slows a run down. B/op and
 # allocs/op are effectively deterministic and are taken from the same run.
 #
-# The "pre" block pins the previous commit's numbers, measured with this
-# method in the SAME session window as the committed post numbers by
-# interleaving runs of prebuilt pre/post test binaries (shared hosts drift
-# by tens of percent across hours, so only paired same-window runs are
-# comparable). CI's bench-smoke job gates allocs/op and B/op against the
-# committed fig1_full post values.
+# The "pre" block is the previous commit's numbers, measured with this
+# method in the SAME session window as the post numbers by interleaving
+# runs of prebuilt pre/post test binaries (shared hosts drift by tens of
+# percent across hours, so only paired same-window runs are comparable).
+# Given a pre-commit, the script builds that commit's test binary from
+# `git archive`, runs each pre rep right before the matching post rep, and
+# prints the pre values to pin below; without one it measures only the
+# working tree against the pinned values. CI's bench-smoke job gates
+# allocs/op and B/op against the committed fig1_full post values.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 reps="${1:-5}"
+pre_ref="${2:-}"
 
-# Paired baseline: commit 0d19ea7, interleaved with the post measurements.
-pre_commit="0d19ea7"
-pre_fig1_full="202233552 16941856 24245"
-pre_fig1_sampled="1277126496 32386516 132573"
-pre_l2_heavy="1008271706 66910628 97303"
+# Paired baseline: commit ea48519, interleaved with the post measurements.
+pre_commit="ea48519"
+pre_fig1_full="225825331 16943900 24168"
+pre_fig1_sampled="1308832290 32387284 132496"
+pre_l2_heavy="1172052278 66920816 97238"
+pre_dram_cell="322483958 16998148 24863"
 
-# measure <bench-regex> -> "ns bytes allocs" (min-ns rep)
-measure() {
-  local tmp
-  tmp="$(mktemp)"
-  for _ in $(seq 1 "$reps"); do
-    GOMAXPROCS=1 go test -run '^$' -bench "^${1}\$" -benchtime 4x -benchmem . |
-      awk -v b="$1" '$1 == b { print }' >>"$tmp"
-  done
+work="$(mktemp -d)"
+trap 'rm -rf "$work"' EXIT
+go test -c -o "$work/post.test" .
+if [[ -n "$pre_ref" ]]; then
+  pre_commit="$(git rev-parse --short "$pre_ref")"
+  mkdir "$work/pre"
+  git archive "$pre_ref" | tar -x -C "$work/pre"
+  (cd "$work/pre" && go test -c -o "$work/pre.test" .)
+fi
+
+# run <pre|post> <bench>: one run of that side's test binary, from that
+# side's source root, appended to $work/<side>.<bench>.
+run() {
+  local dir=.
+  [[ "$1" == pre ]] && dir="$work/pre"
+  (cd "$dir" && GOMAXPROCS=1 "$work/$1.test" -test.run '^$' -test.bench "^${2}\$" \
+    -test.benchtime 4x -test.benchmem) | awk -v b="$2" '$1 == b { print }' >>"$work/$1.$2"
+}
+
+# best <file> -> "ns bytes allocs" of its min-ns run
+best() {
   awk '
     {
       for (i = 1; i <= NF; i++) {
@@ -51,39 +69,29 @@ measure() {
       if (best == "" || ns + 0 < best + 0) { best = ns; bbytes = bytes; ballocs = allocs }
     }
     END { print best, bbytes, ballocs }
-  ' "$tmp"
-  rm -f "$tmp"
+  ' "$1"
 }
 
-# block_new <key> <bench> <note> <post "ns bytes allocs"> [,]
-# For benchmarks introduced in the current change: no paired pre exists, so
-# the entry records only the post numbers and a note naming its reference.
-block_new() {
-  local key="$1" bench="$2" note="$3" comma="${5:-}"
-  read -r ns bytes allocs <<<"$4"
-  cat <<EOF
-    "$key": {
-      "benchmark": "$bench",
-      "note": "$note",
-      "post": {
-        "ns_per_op": $ns,
-        "bytes_per_op": $bytes,
-        "allocs_per_op": $allocs
-      }
-    }$comma
-EOF
+# measure <bench>: reps runs of the post side, each preceded by a pre run
+# when a pre-commit was given.
+measure() {
+  for _ in $(seq 1 "$reps"); do
+    if [[ -n "$pre_ref" ]]; then run pre "$1"; fi
+    run post "$1"
+  done
 }
 
-# block <key> <bench> <pre "ns bytes allocs"> <post "ns bytes allocs"> [,]
+# block <key> <bench> <pre "ns bytes allocs"> <post "ns bytes allocs"> <,|""> [note]
 block() {
-  local key="$1" bench="$2" comma="${5:-}"
+  local key="$1" bench="$2" comma="$5" note="${6:-}"
   read -r pns pbytes pallocs <<<"$3"
   read -r ns bytes allocs <<<"$4"
   local imp
   imp=$(awk -v a="$pns" -v b="$ns" 'BEGIN { printf "%.1f", 100 * (1 - b / a) }')
+  echo "    \"$key\": {"
+  echo "      \"benchmark\": \"$bench\","
+  if [[ -n "$note" ]]; then echo "      \"note\": \"$note\","; fi
   cat <<EOF
-    "$key": {
-      "benchmark": "$bench",
       "pre": {
         "commit": "$pre_commit",
         "ns_per_op": $pns,
@@ -100,10 +108,29 @@ block() {
 EOF
 }
 
-full=$(measure BenchmarkFig1Cell)
-sampled=$(measure BenchmarkFig1CellSampled)
-l2=$(measure BenchmarkCellL2Heavy)
-dram=$(measure BenchmarkDRAMCell)
+# tax <dram "ns ..."> <fig1 "ns ..."> -> the DRAM cell's cost over its bus twin
+tax() {
+  awk -v d="${1%% *}" -v f="${2%% *}" 'BEGIN { printf "%.3f", d / f }'
+}
+
+benches="BenchmarkFig1Cell BenchmarkDRAMCell BenchmarkFig1CellSampled BenchmarkCellL2Heavy"
+for b in $benches; do
+  measure "$b"
+done
+full=$(best "$work/post.BenchmarkFig1Cell")
+dram=$(best "$work/post.BenchmarkDRAMCell")
+sampled=$(best "$work/post.BenchmarkFig1CellSampled")
+l2=$(best "$work/post.BenchmarkCellL2Heavy")
+if [[ -n "$pre_ref" ]]; then
+  pre_fig1_full=$(best "$work/pre.BenchmarkFig1Cell")
+  pre_dram_cell=$(best "$work/pre.BenchmarkDRAMCell")
+  pre_fig1_sampled=$(best "$work/pre.BenchmarkFig1CellSampled")
+  pre_l2_heavy=$(best "$work/pre.BenchmarkCellL2Heavy")
+  echo "pin in scripts/bench.sh: pre_commit=\"$pre_commit\"" >&2
+  for v in pre_fig1_full pre_fig1_sampled pre_l2_heavy pre_dram_cell; do
+    echo "  $v=\"${!v}\"" >&2
+  done
+fi
 
 {
   cat <<EOF
@@ -118,12 +145,10 @@ dram=$(measure BenchmarkDRAMCell)
   "benchmarks": {
 EOF
   block fig1_full BenchmarkFig1Cell "$pre_fig1_full" "$full" ,
-  read -r full_ns _ <<<"$full"
-  read -r dram_ns _ <<<"$dram"
-  dram_note="new in the memsys change: no pre; the reference is fig1_full.post measured in the same session (${full_ns} ns), the delta is the DRAM recording + window-replay overhead"
-  block_new dram_cell BenchmarkDRAMCell "$dram_note" "$dram" ,
+  dram_note="DRAM tax, dram_cell / fig1_full ns in the same session: pre $(tax "$pre_dram_cell" "$pre_fig1_full"), post $(tax "$dram" "$full"); the excess over 1 is the DRAM recording and window-replay overhead"
+  block dram_cell BenchmarkDRAMCell "$pre_dram_cell" "$dram" , "$dram_note"
   block fig1_sampled BenchmarkFig1CellSampled "$pre_fig1_sampled" "$sampled" ,
-  block l2_heavy BenchmarkCellL2Heavy "$pre_l2_heavy" "$l2"
+  block l2_heavy BenchmarkCellL2Heavy "$pre_l2_heavy" "$l2" ""
   cat <<EOF
   }
 }
