@@ -10,43 +10,36 @@
 #   l2_heavy     BenchmarkCellL2Heavy     8-core Niagara cell (L2-bound)
 #   dram_cell    BenchmarkDRAMCell        fig1_full over the DRAM model (frfcfs)
 #
-# Each is run `reps` times (default 5) with -benchmem under GOMAXPROCS=1
-# (the repo's convention for committed numbers) and the minimum ns/op run is
-# recorded: the minimum is the least-noise estimator on shared machines —
-# every source of interference only ever slows a run down. B/op and
-# allocs/op are effectively deterministic and are taken from the same run.
-#
-# The "pre" block is the previous commit's numbers, measured with this
-# method in the SAME session window as the post numbers by interleaving
-# runs of prebuilt pre/post test binaries (shared hosts drift by tens of
+# Every entry is paired: the "pre" block is the pre-commit (default: the
+# parent commit pinned below), whose test binary is built from `git archive`
+# and run next to each post run, the two alternating which runs first, so
+# pre and post share one session window (shared hosts drift by tens of
 # percent across hours, so only paired same-window runs are comparable).
-# Given a pre-commit, the script builds that commit's test binary from
-# `git archive`, runs each pre rep right before the matching post rep, and
-# prints the pre values to pin below; without one it measures only the
-# working tree against the pinned values. CI's bench-smoke job gates
-# allocs/op and B/op against the committed fig1_full post values.
+# Each benchmark gets `reps` such pairs (default 5) with -benchmem under
+# GOMAXPROCS=1 (the repo's convention for committed numbers).
+#
+# Each side's ns_per_op is its minimum run, since interference only ever
+# slows a run down; B/op and allocs/op are effectively deterministic and are
+# taken from the same run. The pre/post delta is not the ratio of the two
+# minima, which carries the luck of two single runs (on a 2-vCPU host it
+# read -7% to -23% for benchmarks whose code did not change): it is the
+# median over the pairs of post/pre ns, reported with its quartiles and the
+# count of pairs the post side won. A delta whose quartiles straddle 1 is
+# unresolved. CI's bench-smoke job gates allocs/op and B/op against the
+# committed fig1_full post values.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 reps="${1:-5}"
-pre_ref="${2:-}"
-
-# Paired baseline: commit ea48519, interleaved with the post measurements.
-pre_commit="ea48519"
-pre_fig1_full="225825331 16943900 24168"
-pre_fig1_sampled="1308832290 32387284 132496"
-pre_l2_heavy="1172052278 66920816 97238"
-pre_dram_cell="322483958 16998148 24863"
+# Default pre: the parent commit the committed ledger is paired against.
+pre_commit="$(git rev-parse --short "${2:-ea48519}")"
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 go test -c -o "$work/post.test" .
-if [[ -n "$pre_ref" ]]; then
-  pre_commit="$(git rev-parse --short "$pre_ref")"
-  mkdir "$work/pre"
-  git archive "$pre_ref" | tar -x -C "$work/pre"
-  (cd "$work/pre" && go test -c -o "$work/pre.test" .)
-fi
+mkdir "$work/pre"
+git archive "$pre_commit" | tar -x -C "$work/pre"
+(cd "$work/pre" && go test -c -o "$work/pre.test" .)
 
 # run <pre|post> <bench>: one run of that side's test binary, from that
 # side's source root, appended to $work/<side>.<bench>.
@@ -55,6 +48,18 @@ run() {
   [[ "$1" == pre ]] && dir="$work/pre"
   (cd "$dir" && GOMAXPROCS=1 "$work/$1.test" -test.run '^$' -test.bench "^${2}\$" \
     -test.benchtime 4x -test.benchmem) | awk -v b="$2" '$1 == b { print }' >>"$work/$1.$2"
+}
+
+# pair <bench> <rep>: one pre and one post run, alternating by rep which
+# side runs first so neither always follows the other.
+pair() {
+  if (($2 % 2)); then
+    run pre "$1"
+    run post "$1"
+  else
+    run post "$1"
+    run pre "$1"
+  fi
 }
 
 # best <file> -> "ns bytes allocs" of its min-ns run
@@ -72,22 +77,39 @@ best() {
   ' "$1"
 }
 
-# measure <bench>: reps runs of the post side, each preceded by a pre run
-# when a pre-commit was given.
-measure() {
-  for _ in $(seq 1 "$reps"); do
-    if [[ -n "$pre_ref" ]]; then run pre "$1"; fi
-    run post "$1"
-  done
+# ratios <num-file> <den-file> -> rep i's ns/op of the first over the second,
+# one line per rep
+ratios() {
+  paste "$1" "$2" | awk '
+    {
+      n = 0
+      for (i = 1; i <= NF; i++) if ($i == "ns/op") r[++n] = $(i-1)
+      print r[1] / r[2]
+    }'
 }
 
-# block <key> <bench> <pre "ns bytes allocs"> <post "ns bytes allocs"> <,|""> [note]
+# quartiles -> "median q1 q3 below1" of the numbers on stdin (nearest-rank
+# quartiles; below1 counts the numbers under 1)
+quartiles() {
+  sort -g | awk '
+    { r[NR] = $1; if ($1 < 1) below++ }
+    END {
+      printf "%.3f %.3f %.3f %d\n", (r[int((NR + 1) / 2)] + r[int(NR / 2) + 1]) / 2,
+        r[int(NR / 4) + 1], r[int((3 * NR + 3) / 4)], below
+    }'
+}
+
+# block <key> <bench> <,|""> [note]: the ledger entry of one benchmark. The
+# pre and post ns_per_op are each side's min run; improvement_pct is from
+# the median over the reps of post/pre ns within one pair, which cancels
+# host drift that the two minima do not share.
 block() {
-  local key="$1" bench="$2" comma="$5" note="${6:-}"
-  read -r pns pbytes pallocs <<<"$3"
-  read -r ns bytes allocs <<<"$4"
-  local imp
-  imp=$(awk -v a="$pns" -v b="$ns" 'BEGIN { printf "%.1f", 100 * (1 - b / a) }')
+  local key="$1" bench="$2" comma="$3" note="${4:-}"
+  local pns pbytes pallocs ns bytes allocs med q1 q3 faster imp
+  read -r pns pbytes pallocs <<<"$(best "$work/pre.$bench")"
+  read -r ns bytes allocs <<<"$(best "$work/post.$bench")"
+  read -r med q1 q3 faster <<<"$(ratios "$work/post.$bench" "$work/pre.$bench" | quartiles)"
+  imp=$(awk -v m="$med" 'BEGIN { printf "%.1f", 100 * (1 - m) }')
   echo "    \"$key\": {"
   echo "      \"benchmark\": \"$bench\","
   if [[ -n "$note" ]]; then echo "      \"note\": \"$note\","; fi
@@ -103,39 +125,40 @@ block() {
         "bytes_per_op": $bytes,
         "allocs_per_op": $allocs
       },
+      "post_over_pre": {
+        "median": $med,
+        "q1": $q1,
+        "q3": $q3,
+        "post_faster": $faster,
+        "pairs": $reps
+      },
       "improvement_pct": $imp
     }$comma
 EOF
 }
 
-# tax <dram "ns ..."> <fig1 "ns ..."> -> the DRAM cell's cost over its bus twin
+# tax <pre|post> -> "median [q1, q3]" over the reps of that side's
+# dram_cell / fig1_full ns within one rep: the DRAM cell's cost over its bus
+# twin.
 tax() {
-  awk -v d="${1%% *}" -v f="${2%% *}" 'BEGIN { printf "%.3f", d / f }'
+  local med q1 q3 _
+  read -r med q1 q3 _ <<<"$(ratios "$work/$1.BenchmarkDRAMCell" "$work/$1.BenchmarkFig1Cell" | quartiles)"
+  echo "$med [$q1, $q3]"
 }
 
+# Reps are the outer loop, so one rep's runs of every benchmark, pre and
+# post, lie within about a minute of each other.
 benches="BenchmarkFig1Cell BenchmarkDRAMCell BenchmarkFig1CellSampled BenchmarkCellL2Heavy"
-for b in $benches; do
-  measure "$b"
-done
-full=$(best "$work/post.BenchmarkFig1Cell")
-dram=$(best "$work/post.BenchmarkDRAMCell")
-sampled=$(best "$work/post.BenchmarkFig1CellSampled")
-l2=$(best "$work/post.BenchmarkCellL2Heavy")
-if [[ -n "$pre_ref" ]]; then
-  pre_fig1_full=$(best "$work/pre.BenchmarkFig1Cell")
-  pre_dram_cell=$(best "$work/pre.BenchmarkDRAMCell")
-  pre_fig1_sampled=$(best "$work/pre.BenchmarkFig1CellSampled")
-  pre_l2_heavy=$(best "$work/pre.BenchmarkCellL2Heavy")
-  echo "pin in scripts/bench.sh: pre_commit=\"$pre_commit\"" >&2
-  for v in pre_fig1_full pre_fig1_sampled pre_l2_heavy pre_dram_cell; do
-    echo "  $v=\"${!v}\"" >&2
+for i in $(seq 1 "$reps"); do
+  for b in $benches; do
+    pair "$b" "$i"
   done
-fi
+done
 
 {
   cat <<EOF
 {
-  "method": "min of $reps runs each, go test -benchtime 4x -benchmem, GOMAXPROCS=1; pre = commit $pre_commit measured interleaved in the same session window",
+  "method": "$reps pairs of runs, go test -benchtime 4x -benchmem, GOMAXPROCS=1; pre = commit $pre_commit measured interleaved in the same session window, alternating which side runs first; ns_per_op is each side's min run, post_over_pre the median and quartiles over the pairs of post/pre ns (post_faster counts the pairs post won), improvement_pct = 100 x (1 - that median)",
   "cells": {
     "fig1_full": "xeon/default/MediaWiki(rw)/8 cores, scale 64, warmup 1, measure 2",
     "fig1_sampled": "xeon/default/MediaWiki(rw)/8 cores, scale 32, warmup 1, measure 64, fidelity sampled",
@@ -144,16 +167,16 @@ fi
   },
   "benchmarks": {
 EOF
-  block fig1_full BenchmarkFig1Cell "$pre_fig1_full" "$full" ,
-  dram_note="DRAM tax, dram_cell / fig1_full ns in the same session: pre $(tax "$pre_dram_cell" "$pre_fig1_full"), post $(tax "$dram" "$full"); the excess over 1 is the DRAM recording and window-replay overhead"
-  block dram_cell BenchmarkDRAMCell "$pre_dram_cell" "$dram" , "$dram_note"
-  block fig1_sampled BenchmarkFig1CellSampled "$pre_fig1_sampled" "$sampled" ,
-  block l2_heavy BenchmarkCellL2Heavy "$pre_l2_heavy" "$l2" ""
+  block fig1_full BenchmarkFig1Cell ,
+  dram_note="DRAM tax, median [quartiles] over the reps of dram_cell / fig1_full ns within one rep: pre $(tax pre), post $(tax post); the excess over 1 is the DRAM recording and window-replay overhead"
+  block dram_cell BenchmarkDRAMCell , "$dram_note"
+  block fig1_sampled BenchmarkFig1CellSampled ,
+  block l2_heavy BenchmarkCellL2Heavy ""
   cat <<EOF
   }
 }
 EOF
 } >BENCH_fig1.json
 
-read -r ns bytes allocs <<<"$full"
+read -r ns bytes allocs <<<"$(best "$work/post.BenchmarkFig1Cell")"
 echo "BENCH_fig1.json: fig1_full ${ns} ns/op, ${bytes} B/op, ${allocs} allocs/op"
